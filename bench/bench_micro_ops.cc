@@ -317,13 +317,10 @@ void BM_TanhBackwardFusedVsChain(benchmark::State& state) {
 }
 BENCHMARK(BM_TanhBackwardFusedVsChain)->Arg(0)->Arg(1);
 
-// Buffer-pool behavior on a training-step-shaped allocation sequence.
-// Arg 1 = pool enabled, 0 = disabled; the steady-state hit rate shows up
-// as the wall-clock gap.
+// Buffer-pool behavior on a training-step-shaped allocation sequence; the
+// counters show the steady-state hit rate.
 void BM_TensorPoolStepAllocations(benchmark::State& state) {
   auto& pool = TensorBufferPool::Global();
-  const bool enabled = state.range(0) != 0;
-  pool.SetEnabled(enabled);
   Rng rng(34);
   Tensor x = Tensor::RandUniform({16, 512}, -1, 1, &rng);
   Tensor w = Tensor::RandUniform({512, 512}, -1, 1, &rng);
@@ -339,9 +336,8 @@ void BM_TensorPoolStepAllocations(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(stats.hits));
   state.counters["pool_misses"] =
       benchmark::Counter(static_cast<double>(stats.misses));
-  pool.ReloadEnabledFromEnv();
 }
-BENCHMARK(BM_TensorPoolStepAllocations)->Arg(0)->Arg(1);
+BENCHMARK(BM_TensorPoolStepAllocations);
 
 void BM_AutogradMatmulForwardBackward(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -358,15 +354,10 @@ void BM_AutogradMatmulForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_AutogradMatmulForwardBackward)->Arg(16)->Arg(64);
 
-// Full step lifecycle for a training-step-shaped op chain: graph build,
-// backward, teardown. Arg 1 = step arena enabled (bump-allocated nodes,
-// flat list teardown, O(1) reset), 0 = heap-refcounted nodes torn down by
-// the handle-release cascade. Grad buffers are retained either way, so the
-// wall-clock gap isolates node allocation + teardown cost. Counters expose
-// the arena's node traffic and the retained-buffer reuse rate.
+// Full step lifecycle for a training-step-shaped op chain: graph build in
+// the step arena (bump-allocated nodes), backward, flat list teardown and
+// O(1) reset. Counters expose the arena's node traffic and high water.
 void BM_AutogradStepArena(benchmark::State& state) {
-  const bool arena_on = state.range(0) != 0;
-  ag::SetAutogradArenaEnabled(arena_on);
   Rng rng(7);
   ag::Variable w1(Tensor::RandUniform({64, 64}, -1, 1, &rng), true);
   ag::Variable w2(Tensor::RandUniform({64, 64}, -1, 1, &rng), true);
@@ -390,9 +381,8 @@ void BM_AutogradStepArena(benchmark::State& state) {
       static_cast<double>(stats.nodes_allocated_total - nodes_before));
   state.counters["arena_high_water_bytes"] =
       benchmark::Counter(static_cast<double>(stats.high_water_bytes));
-  ag::SetAutogradArenaEnabled(true);
 }
-BENCHMARK(BM_AutogradStepArena)->Arg(0)->Arg(1);
+BENCHMARK(BM_AutogradStepArena);
 
 // --- Sparse graph kernels ---------------------------------------------------
 // The TGCRN_GRAPH_TOPK path: dense -> top-k -> CSR sparsify, and the CSR

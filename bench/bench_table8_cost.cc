@@ -10,11 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "autograd/variable.h"
 #include "bench_common.h"
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
-#include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/report.h"
 #include "paper_refs.h"
@@ -210,55 +208,6 @@ void Run() {
     }
     EmitTable("table8_cost_threads", threads_table);
     common::SetNumThreads(max_threads);  // restore for any later use
-  }
-
-  // Allocator addendum: the same TGCRN epoch with the autograd step arena
-  // + retained grad buffers on vs off. Losses are bitwise identical; the
-  // columns show the per-epoch wall-clock and how many real tensor heap
-  // allocations the epoch performed (steady-state steps allocate none with
-  // the arena on — remaining allocations happen in the first batches while
-  // the buffer pool and grad buffers warm up, and in eval).
-  {
-    std::printf("\n=== autograd arena (TGCRN small emb, 1 epoch) ===\n");
-    core::TGCRNConfig config;
-    config.num_nodes = bundle.num_nodes;
-    config.input_dim = bundle.num_features;
-    config.output_dim = bundle.num_features;
-    config.horizon = bundle.dataset->options().output_steps;
-    config.hidden_dim = scale.hidden_dim;
-    config.node_embed_dim = scale.node_embed_dim / 2;
-    config.time_embed_dim = scale.node_embed_dim / 2;
-    config.steps_per_day = bundle.steps_per_day;
-    obs::Counter* allocs =
-        obs::Registry::Global().GetCounter("tensor.allocations");
-    TablePrinter arena_table(
-        {"Arena", "s/epoch", "tensor allocs", "grad reuse", "arena nodes"});
-    for (const bool arena_on : {true, false}) {
-      ag::SetAutogradArenaEnabled(arena_on);
-      Rng rng(5004);
-      core::TGCRN model(config, &rng);
-      const int64_t allocs_before = allocs->Value();
-      const int64_t reuse_before =
-          obs::Registry::Global()
-              .GetCounter("tensor.grad_buffer_reuse")
-              ->Value();
-      const int64_t nodes_before =
-          ag::internal::ThreadGraphArenaStats().nodes_allocated_total;
-      const auto result = TimeOneEpoch(&model, bundle, scale);
-      arena_table.AddRow(
-          {arena_on ? "on" : "off",
-           Cell(result.seconds_per_epoch, -1.0, 3),
-           std::to_string(allocs->Value() - allocs_before),
-           std::to_string(obs::Registry::Global()
-                              .GetCounter("tensor.grad_buffer_reuse")
-                              ->Value() -
-                          reuse_before),
-           std::to_string(
-               ag::internal::ThreadGraphArenaStats().nodes_allocated_total -
-               nodes_before)});
-    }
-    ag::SetAutogradArenaEnabled(true);
-    EmitTable("table8_cost_arena", arena_table);
   }
 
   // Sparse scale-out addendum (TGCRN_GRAPH_TOPK): one TGCRN epoch on a

@@ -1,9 +1,6 @@
 // Copyright 2026 TGCRN Reproduction Authors
 #include "autograd/variable.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/arena.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -53,9 +50,6 @@ obs::Gauge* ArenaHighWaterGauge() {
 // Per-thread graph-recording switch, toggled by NoGradGuard.
 thread_local bool g_grad_enabled = true;
 
-// Arena gate: -1 = read TGCRN_AUTOGRAD_ARENA on first use, else 0/1.
-std::atomic<int> g_arena_enabled{-1};
-
 // Per-thread step arena. Interior nodes created while `depth > 0` are
 // placement-built in `arena` and chained on `head` in reverse creation
 // order; EndStep destroys them child-first in one flat walk and rewinds
@@ -63,7 +57,7 @@ std::atomic<int> g_arena_enabled{-1};
 struct GraphArena {
   common::Arena arena;
   internal::Node* head = nullptr;
-  int depth = 0;  // nesting of engaged StepArenaScopes
+  int depth = 0;  // nesting of StepArenaScopes
   int64_t live_nodes = 0;
   int64_t nodes_allocated_total = 0;
 
@@ -112,33 +106,15 @@ NoGradGuard::NoGradGuard() : previous_(g_grad_enabled) {
 
 NoGradGuard::~NoGradGuard() { g_grad_enabled = previous_; }
 
-bool AutogradArenaEnabled() {
-  int state = g_arena_enabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    const char* env = std::getenv("TGCRN_AUTOGRAD_ARENA");
-    state = (env == nullptr || std::strcmp(env, "0") != 0) ? 1 : 0;
-    g_arena_enabled.store(state, std::memory_order_relaxed);
-  }
-  return state != 0;
-}
-
-void SetAutogradArenaEnabled(bool enabled) {
-  g_arena_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-StepArenaScope::StepArenaScope() : engaged_(AutogradArenaEnabled()) {
-  if (engaged_) {
-    GraphArena& ga = ThreadGraphArena();
-    if (++ga.depth == 1) ArenaStepCounter()->Add(1);
-  }
+StepArenaScope::StepArenaScope() {
+  GraphArena& ga = ThreadGraphArena();
+  if (++ga.depth == 1) ArenaStepCounter()->Add(1);
 }
 
 StepArenaScope::~StepArenaScope() {
-  if (engaged_) {
-    GraphArena& ga = ThreadGraphArena();
-    TGCRN_CHECK(ga.depth > 0);
-    if (--ga.depth == 0) ga.EndStep();
-  }
+  GraphArena& ga = ThreadGraphArena();
+  TGCRN_CHECK(ga.depth > 0);
+  if (--ga.depth == 0) ga.EndStep();
 }
 
 namespace internal {

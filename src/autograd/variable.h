@@ -9,20 +9,19 @@
 // ancestor). Gradients are stored per-node and survive until ZeroGrad().
 //
 // Memory model. Nodes live in one of two regimes:
-//   * Heap nodes (the default): intrusively refcounted via NodeRef and freed
-//     when the last handle drops. Leaves (parameters, inputs) are always
-//     heap nodes.
-//   * Arena nodes: while a StepArenaScope is active (and the arena is
-//     enabled, see TGCRN_AUTOGRAD_ARENA), every interior op node is
-//     placement-built in a per-thread bump arena. Copying a handle to an
-//     arena node is free, and when the outermost scope ends the whole graph
-//     is torn down with a flat walk over an intrusive list — destructors run
-//     child-first in one loop instead of recursing through parent edges —
-//     followed by an O(1) arena reset that keeps the blocks for the next
-//     step. Handles to arena nodes must not outlive the scope that built
-//     them (Detach() first if a value has to escape).
-// Both regimes build byte-identical graphs and run the same kernels, so
-// losses are bitwise identical with the arena on or off.
+//   * Heap nodes: intrusively refcounted via NodeRef and freed when the
+//     last handle drops. Leaves (parameters, inputs) and nodes built
+//     outside any StepArenaScope are heap nodes.
+//   * Arena nodes: while a StepArenaScope is active, every interior op
+//     node is placement-built in a per-thread bump arena. Copying a handle
+//     to an arena node is free, and when the outermost scope ends the
+//     whole graph is torn down with a flat walk over an intrusive list —
+//     destructors run child-first in one loop instead of recursing through
+//     parent edges — followed by an O(1) arena reset that keeps the blocks
+//     for the next step. Handles to arena nodes must not outlive the scope
+//     that built them (Detach() first if a value has to escape).
+// Both regimes build byte-identical graphs and run the same kernels, so a
+// step gives bitwise-identical results inside or outside a scope.
 #ifndef TGCRN_AUTOGRAD_VARIABLE_H_
 #define TGCRN_AUTOGRAD_VARIABLE_H_
 
@@ -394,15 +393,8 @@ class NoGradGuard {
   bool previous_;
 };
 
-// Whether StepArenaScope engages the per-thread graph arena. Defaults to
-// the TGCRN_AUTOGRAD_ARENA environment variable (unset/1 = on, 0 = off);
-// SetAutogradArenaEnabled overrides it at runtime. Toggling takes effect at
-// the next scope entry, never mid-step.
-bool AutogradArenaEnabled();
-void SetAutogradArenaEnabled(bool enabled);
-
-// RAII training-step scope: while the outermost scope is alive (and the
-// arena is enabled), interior graph nodes on this thread are bump-allocated
+// RAII training-step scope: while the outermost scope is alive, interior
+// graph nodes on this thread are bump-allocated
 // in a per-thread arena. The destructor destroys every node built during
 // the step in one flat list walk and resets the arena in O(1), updating the
 // arena.bytes_high_water gauge. Scopes nest (inner scopes are no-ops).
@@ -417,9 +409,6 @@ class StepArenaScope {
   ~StepArenaScope();
   StepArenaScope(const StepArenaScope&) = delete;
   StepArenaScope& operator=(const StepArenaScope&) = delete;
-
- private:
-  bool engaged_;
 };
 
 }  // namespace ag

@@ -13,7 +13,7 @@
 //      or a non-x86 target compiles them out).
 //
 // Determinism contract: results are bitwise identical across thread
-// counts and pool/arena toggles *at a fixed ISA level*. Different ISA
+// counts *at a fixed ISA level*. Different ISA
 // levels may differ in the last bits (FMA contraction, vectorized
 // transcendental polynomials); TGCRN_ISA=scalar reproduces the legacy
 // serial arithmetic exactly.

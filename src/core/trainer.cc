@@ -172,8 +172,8 @@ TrainResult TrainAndEvaluate(ForecastModel* model,
       // Everything from forward to the loss read runs inside one arena
       // step: interior graph nodes are bump-allocated and the whole graph
       // is torn down in a flat O(nodes) walk + O(1) arena reset when the
-      // scope closes (no-op when TGCRN_AUTOGRAD_ARENA=0). `loss` must not
-      // escape the scope, so the scalar is read before it ends.
+      // scope closes. `loss` must not escape the scope, so the scalar is
+      // read before it ends.
       ag::StepArenaScope arena_step;
       ag::Variable loss;
       // Activation taps sample the first training batch of each sampled

@@ -493,8 +493,8 @@ void RecordKernelCost(const char* kernel, double flops, double bytes) {
   if (top != 0 && SameName(t->nodes[top].name, kernel)) {
     node = top;  // the kernel's own scope — the common case
   } else {
-    // No matching scope open (TGCRN_DISABLE_TRACING build, or a cost
-    // recorded outside its span): keep the accounting on a child node.
+    // Cost recorded outside its span: keep the accounting on a child
+    // node.
     node = FindOrAddChild(t, top, kernel);
   }
   ++t->nodes[node].kernel_calls;

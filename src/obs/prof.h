@@ -92,10 +92,10 @@ void DumpProfileOnAbort();
 // Attributes one kernel dispatch to the innermost open scope: analytic
 // flop and logical byte-traffic counts from the kernel's shape. `kernel`
 // must be a string literal naming the kernel's own scope (the innermost
-// open scope at every call site); when no scope is open — e.g. a build
-// with TGCRN_DISABLE_TRACING — the cost lands on a direct child of the
-// root so accounting survives compiled-out spans. One relaxed load + branch
-// when the profiler is off.
+// open scope at every call site); when the kernel's scope is not the
+// innermost one, the cost lands on a child of the innermost scope named
+// after the kernel, so the accounting is never dropped. One relaxed load
+// + branch when the profiler is off.
 void RecordKernelCost(const char* kernel, double flops, double bytes);
 
 // Name of the innermost open profiler scope on the calling thread, or

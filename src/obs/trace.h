@@ -7,8 +7,7 @@
 // Runtime control: spans record only while tracing is enabled — via the
 // TGCRN_TRACE=<path> environment variable (auto-starts at process init and
 // flushes at exit) or StartTracing()/StopTracingAndWrite(). While disabled
-// the macro costs one relaxed atomic load and a branch; defining
-// TGCRN_DISABLE_TRACING at compile time removes even that.
+// the macro costs one relaxed atomic load and a branch.
 //
 // Storage: each thread appends to its own fixed-capacity ring buffer (no
 // locks between threads on the hot path; a per-thread mutex serializes a
@@ -120,16 +119,10 @@ class ScopedSpan {
 }  // namespace obs
 }  // namespace tgcrn
 
-#ifndef TGCRN_DISABLE_TRACING
 #define TGCRN_TRACE_SCOPE_CONCAT2(a, b) a##b
 #define TGCRN_TRACE_SCOPE_CONCAT(a, b) TGCRN_TRACE_SCOPE_CONCAT2(a, b)
 #define TGCRN_TRACE_SCOPE(name)                 \
   ::tgcrn::obs::ScopedSpan TGCRN_TRACE_SCOPE_CONCAT(tgcrn_trace_span_, \
                                                     __LINE__)(name)
-#else
-#define TGCRN_TRACE_SCOPE(name) \
-  do {                          \
-  } while (false)
-#endif
 
 #endif  // TGCRN_OBS_TRACE_H_

@@ -225,17 +225,7 @@ void Server::SendJson(Request* request, obs::Json out, bool error) {
   Respond(request->conn, line);
   if (!tracing_) return;
   request->trace.Stamp(kStageFlush, NowNs());
-  // RecordRequest finalizes the trace (carrying unset stages forward), so
-  // the per-connection ring keeps the same record the access log saw.
   telemetry_->RecordRequest(&request->trace);
-  Connection& conn = conns_[request->conn];
-  if (conn.fd >= 0) {
-    if (!conn.ring) {
-      conn.ring.reset(new obs::RpcTraceRing(
-          static_cast<int>(telemetry_->config().ring_capacity)));
-    }
-    conn.ring->Push(request->trace);
-  }
 }
 
 void Server::Respond(size_t conn, const std::string& line) {
@@ -280,7 +270,6 @@ void Server::CloseConnection(size_t index) {
   conn.eof = false;
   conn.line_start_ns = 0;
   conn.last_recv_ns = 0;
-  conn.ring.reset();
 }
 
 obs::Json Server::StatsJson(const std::string& view) {

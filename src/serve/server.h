@@ -19,7 +19,7 @@
 // carries a RequestTrace — id (client "id" field or server-assigned
 // monotonic, propagated through batching) plus per-stage timestamps
 // (read/parse/batch_wait/gather/kernel/scatter/serialize/flush) — and
-// completed traces land in per-connection rings, the stage histograms,
+// completed traces land in the stage histograms, the slow-request ring
 // and the access log (docs/SERVING.md "Reading the request telemetry").
 // Disarmed, the per-request cost is one relaxed load.
 #ifndef TGCRN_SERVE_SERVER_H_
@@ -28,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,8 +76,6 @@ class Server {
     // successful recv — a parsed line's start and read stamps.
     int64_t line_start_ns = 0;
     int64_t last_recv_ns = 0;
-    // Recent completed traces (created lazily when telemetry is armed).
-    std::unique_ptr<obs::RpcTraceRing> ring;
 
     size_t pending_out() const { return out.size() - out_off; }
   };

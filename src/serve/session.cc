@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/buffer_pool.h"
 
 namespace tgcrn {
 namespace serve {
@@ -51,18 +50,24 @@ int64_t EnvInt(const char* value, int64_t fallback) {
   return parsed > 0 ? parsed : fallback;
 }
 
+// Wave batch width for `active` samples: the next power of two, so steady
+// state cycles through O(log batch_max) tensor shapes (maximizing pool
+// hits). Padding rows are zeros, and per-sample independence of the eval
+// path makes them bitwise-invisible to active rows.
+int64_t WaveWidth(int64_t active) {
+  int64_t width = 1;
+  while (width < active) width <<= 1;
+  return width;
+}
+
 }  // namespace
 
 SessionConfig SessionConfig::FromEnv() {
   SessionConfig config;
   config.batch_max =
       EnvInt(std::getenv("TGCRN_SERVE_BATCH_MAX"), config.batch_max);
-  const char* pad = std::getenv("TGCRN_SERVE_PAD");
-  if (pad != nullptr && std::string(pad) == "0") config.pad_batches = false;
   config.max_entities =
       EnvInt(std::getenv("TGCRN_SERVE_MAX_ENTITIES"), config.max_entities);
-  config.pool_min_elements =
-      EnvInt(std::getenv("TGCRN_SERVE_POOL_MIN"), config.pool_min_elements);
   return config;
 }
 
@@ -75,26 +80,9 @@ InferenceSession::InferenceSession(core::TGCRN* model,
   TGCRN_CHECK(config_.max_entities > 0);
   model_->SetTraining(false);
   model_->SetTeacherForcingProbability(0.0f);
-  // The zero-alloc steady state needs even sub-256-element temporaries
-  // (TagSL trend factors, small rows) recycled; restore the training
-  // default when the session goes away.
-  TensorBufferPool& pool = TensorBufferPool::Global();
-  prior_pool_floor_ = pool.min_pooled_elements();
-  pool.SetMinPooledElements(config_.pool_min_elements);
   // Wave-timing storage never reallocates in steady state: one call
   // produces at most ceil(observations / wave_cap) entries.
   wave_timings_.reserve(64);
-}
-
-InferenceSession::~InferenceSession() {
-  TensorBufferPool::Global().SetMinPooledElements(prior_pool_floor_);
-}
-
-int64_t InferenceSession::WaveWidth(int64_t active) const {
-  if (!config_.pad_batches) return active;
-  int64_t width = 1;
-  while (width < active) width <<= 1;
-  return width;
 }
 
 InferenceSession::EntityState& InferenceSession::AdmitEntity(

@@ -12,12 +12,11 @@
 // DecoderForecast, a warm entity's forecast is bitwise-identical to a
 // direct Forward over the same window (pinned by serve_session_test).
 //
-// Zero-alloc steady state: the session lowers the tensor pool floor
-// (TensorBufferPool::SetMinPooledElements) so every per-request temporary
-// — including the sub-256-element trend factors of TagSL — is recycled,
-// and pads wave batch sizes to powers of two so the pool sees a small,
-// repeating set of shapes. After warm-up, an observe/forecast wave makes
-// zero tensor heap allocations (pinned via the tensor.allocations
+// Zero-alloc steady state: the tensor pool recycles every per-request
+// temporary — including the sub-256-element trend factors of TagSL — and
+// the session pads wave batch sizes to powers of two so the pool sees a
+// small, repeating set of shapes. After warm-up, an observe/forecast wave
+// makes zero tensor heap allocations (pinned via the tensor.allocations
 // counter, the same contract training pins per step).
 //
 // Thread model: the session is single-threaded (the poll-loop server and
@@ -45,16 +44,9 @@ namespace serve {
 struct SessionConfig {
   // Largest micro-batch (wave) handed to the batched kernels.
   int64_t batch_max = 32;  // TGCRN_SERVE_BATCH_MAX
-  // Pad wave batch sizes up to the next power of two with inert zero
-  // rows, so steady state cycles through O(log batch_max) tensor shapes
-  // (maximizing pool hits). Per-sample independence of the eval path
-  // makes padding rows bitwise-invisible to active rows.
-  bool pad_batches = true;  // TGCRN_SERVE_PAD
   // Entity cache capacity; admitting one more evicts the least recently
   // used entity (serve.evictions counts them).
   int64_t max_entities = 4096;  // TGCRN_SERVE_MAX_ENTITIES
-  // Pool floor installed for the session's lifetime (see header comment).
-  int64_t pool_min_elements = 1;  // TGCRN_SERVE_POOL_MIN
 
   static SessionConfig FromEnv();
 };
@@ -87,7 +79,6 @@ class InferenceSession {
   // stores only parameters (docs/SERVING.md "Checkpoint format").
   InferenceSession(core::TGCRN* model, data::StandardScaler scaler,
                    SessionConfig config);
-  ~InferenceSession();
 
   struct ObserveResult {
     std::vector<int64_t> steps;  // per observation: entity steps after it
@@ -155,9 +146,6 @@ class InferenceSession {
     uint64_t tick = 0;  // LRU stamp
   };
 
-  // Wave batch width for `active` samples (power-of-two padded when
-  // configured; padding rows are zeros and inert).
-  int64_t WaveWidth(int64_t active) const;
   // Runs one observe wave (indices into `observations`, distinct
   // entities) through EncoderStep and scatters hidden states back.
   void ObserveWave(const std::vector<Observation>& observations,
@@ -178,7 +166,6 @@ class InferenceSession {
   std::unordered_map<std::string, EntityState> entities_;
   uint64_t tick_ = 0;
   int64_t requests_ = 0;
-  int64_t prior_pool_floor_ = 0;  // restored on destruction
   std::vector<WaveTiming> wave_timings_;  // last Observe/Forecast call
 };
 

@@ -24,7 +24,7 @@
 // TGCRN_SERVE_SLOW_US is set. Disarmed, the server's only per-request
 // cost is one relaxed load (obs::RpcTracingArmed) — no stamps, no
 // recording, bitwise-identical serving. Armed, recording stays free of
-// tensor heap allocations: traces live in preallocated rings, residual
+// tensor heap allocations: traces live in a preallocated ring, residual
 // buffers are plain float vectors sized once per entity, and the access
 // log line is formatted into a reused buffer. The graph-health probe
 // does allocate tensors — it runs only at drift-emission cadence, never
@@ -82,7 +82,6 @@ struct TelemetryConfig {
   // flush/shutdown. TGCRN_SERVE_DRIFT_EVERY.
   int64_t drift_every = 256;
   int64_t slow_capacity = 64;       // exemplar ring size
-  int64_t ring_capacity = 32;       // per-connection recent-trace ring
   int64_t drift_max_entities = 1024;  // pending-forecast tracking bound
 
   static TelemetryConfig FromEnv();

@@ -3,43 +3,34 @@
 
 #include <cstdlib>
 #include <mutex>
-#include <string>
 
 #include "obs/metrics.h"
 
 namespace tgcrn {
 namespace {
 
-// Default smallest pooled request: 2^8 = 256 elements (1 KiB). Requests
-// below the floor bypass the pool — the malloc fast path already wins
-// there for training. SetMinPooledElements lowers the floor for serving,
-// where every per-request temporary must be recycled.
-constexpr int kDefaultMinPooledLog2 = 8;
-// Largest bucket: 2^30 elements (4 GiB). Larger requests bypass the pool.
+// Largest bucket: 2^30 elements (4 GiB). Larger requests bypass the pool,
+// as do empty ones. Bucket index i holds buffers of capacity 2^i.
 constexpr int kMaxBucketLog2 = 30;
-// Bucket index i holds buffers of capacity 2^i; the full range [2^0, 2^30]
-// is always addressable, the runtime floor just rules out the low buckets.
 constexpr int kNumBuckets = kMaxBucketLog2 + 1;
 
 constexpr int64_t kDefaultMaxRetainedBytes = 512ll * 1024 * 1024;
 
 // Bucket index for a request of `numel` elements (smallest power of two
 // >= numel); -1 when the request is outside the pooled range.
-int BucketForNumel(int64_t numel, int min_log2) {
-  if (numel < (1ll << min_log2) || numel > (1ll << kMaxBucketLog2)) {
-    return -1;
-  }
-  int log2 = min_log2;
+int BucketForNumel(int64_t numel) {
+  if (numel < 1 || numel > (1ll << kMaxBucketLog2)) return -1;
+  int log2 = 0;
   while ((1ll << log2) < numel) ++log2;
   return log2;
 }
 
 // Bucket a released buffer of `capacity` elements belongs to: the largest
 // bucket whose size fits inside the capacity (the buffer can then serve
-// any request up to that size); -1 if below the pooled minimum.
-int BucketForCapacity(int64_t capacity, int min_log2) {
-  if (capacity < (1ll << min_log2)) return -1;
-  int log2 = min_log2;
+// any request up to that size); -1 for an empty buffer.
+int BucketForCapacity(int64_t capacity) {
+  if (capacity < 1) return -1;
+  int log2 = 0;
   while (log2 < kMaxBucketLog2 && (1ll << (log2 + 1)) <= capacity) ++log2;
   return log2;
 }
@@ -63,11 +54,6 @@ PoolCounters& Counters() {
   return counters;
 }
 
-bool EnabledFromEnv() {
-  const char* env = std::getenv("TGCRN_TENSOR_POOL");
-  return env == nullptr || std::string(env) != "0";
-}
-
 int64_t MaxRetainedBytesFromEnv() {
   const char* env = std::getenv("TGCRN_TENSOR_POOL_MAX_MB");
   if (env == nullptr) return kDefaultMaxRetainedBytes;
@@ -80,12 +66,6 @@ int64_t MaxRetainedBytesFromEnv() {
 struct TensorBufferPool::Impl {
   mutable std::mutex mu;
   std::vector<std::vector<float>*> free_lists[kNumBuckets];
-  // Runtime pooled-size floor as a bucket log2, read on the allocation
-  // fast path (relaxed: the floor is a coarse policy knob, not a
-  // synchronization point; callers flip it at session setup, not
-  // mid-request).
-  std::atomic<int> min_pooled_log2{kDefaultMinPooledLog2};
-  bool enabled = true;
   int64_t max_retained_bytes = kDefaultMaxRetainedBytes;
   int64_t retained_bytes = 0;
   int64_t hits = 0;
@@ -94,7 +74,6 @@ struct TensorBufferPool::Impl {
 };
 
 TensorBufferPool::TensorBufferPool() : impl_(new Impl) {
-  impl_->enabled = EnabledFromEnv();
   impl_->max_retained_bytes = MaxRetainedBytesFromEnv();
 }
 
@@ -105,11 +84,9 @@ TensorBufferPool& TensorBufferPool::Global() {
 }
 
 std::vector<float>* TensorBufferPool::TryPop(int64_t numel) {
-  const int bucket = BucketForNumel(
-      numel, impl_->min_pooled_log2.load(std::memory_order_relaxed));
+  const int bucket = BucketForNumel(numel);
   if (bucket < 0) return nullptr;
   std::lock_guard<std::mutex> lock(impl_->mu);
-  if (!impl_->enabled) return nullptr;
   // Exact bucket first, then one size up (a 2x-oversized buffer still
   // beats a heap round-trip; beyond that the waste dominates).
   for (int b = bucket; b < kNumBuckets && b <= bucket + 1; ++b) {
@@ -135,8 +112,7 @@ std::vector<float>* TensorBufferPool::AllocateFresh(int64_t numel) {
   counters.allocations->Add(1);
   counters.allocated_bytes->Add(numel * static_cast<int64_t>(sizeof(float)));
   auto* buf = new std::vector<float>();
-  const int bucket = BucketForNumel(
-      numel, impl_->min_pooled_log2.load(std::memory_order_relaxed));
+  const int bucket = BucketForNumel(numel);
   // Round the capacity up to the bucket size so the buffer can serve any
   // future request in its bucket.
   if (bucket >= 0) buf->reserve(1ull << bucket);
@@ -144,14 +120,12 @@ std::vector<float>* TensorBufferPool::AllocateFresh(int64_t numel) {
 }
 
 void TensorBufferPool::Release(std::vector<float>* buf) {
-  const int bucket = BucketForCapacity(
-      static_cast<int64_t>(buf->capacity()),
-      impl_->min_pooled_log2.load(std::memory_order_relaxed));
+  const int bucket = BucketForCapacity(static_cast<int64_t>(buf->capacity()));
   const int64_t bytes =
       static_cast<int64_t>(buf->capacity()) * sizeof(float);
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
-    if (impl_->enabled && bucket >= 0 &&
+    if (bucket >= 0 &&
         impl_->retained_bytes + bytes <= impl_->max_retained_bytes) {
       impl_->free_lists[bucket].push_back(buf);
       impl_->retained_bytes += bytes;
@@ -212,48 +186,6 @@ std::shared_ptr<std::vector<float>> TensorBufferPool::AcquireCopy(
   std::vector<float>* buf = AllocateFresh(numel);
   buf->assign(src, src + numel);
   return WrapHandle(buf);
-}
-
-void TensorBufferPool::SetEnabled(bool enabled) {
-  bool drop = false;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    drop = impl_->enabled && !enabled;
-    impl_->enabled = enabled;
-  }
-  if (drop) Clear();
-}
-
-bool TensorBufferPool::enabled() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->enabled;
-}
-
-void TensorBufferPool::ReloadEnabledFromEnv() { SetEnabled(EnabledFromEnv()); }
-
-void TensorBufferPool::SetMinPooledElements(int64_t numel) {
-  int log2 = 0;
-  while (log2 < kMaxBucketLog2 && (1ll << log2) < numel) ++log2;
-  impl_->min_pooled_log2.store(log2, std::memory_order_relaxed);
-  // Cached buffers below the new floor can never be popped again (their
-  // buckets are unreachable); free them instead of stranding the bytes.
-  std::vector<std::vector<float>*> doomed;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    for (int b = 0; b < log2 && b < kNumBuckets; ++b) {
-      for (std::vector<float>* buf : impl_->free_lists[b]) {
-        impl_->retained_bytes -=
-            static_cast<int64_t>(buf->capacity()) * sizeof(float);
-        doomed.push_back(buf);
-      }
-      impl_->free_lists[b].clear();
-    }
-  }
-  for (std::vector<float>* buf : doomed) delete buf;
-}
-
-int64_t TensorBufferPool::min_pooled_elements() const {
-  return 1ll << impl_->min_pooled_log2.load(std::memory_order_relaxed);
 }
 
 void TensorBufferPool::Clear() {

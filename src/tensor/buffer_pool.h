@@ -7,13 +7,11 @@
 //
 // Design:
 //  * Buffers are std::vector<float> heap objects bucketed by capacity
-//    rounded up to a power of two. Requests below the pooled minimum
-//    (default 256 elements) bypass the pool — for training workloads the
-//    malloc fast path already wins there. Latency-critical inference
-//    (src/serve) lowers the floor with SetMinPooledElements so that even
-//    the sub-256-element temporaries of a forecast step (per-sample trend
-//    factors, small batch rows) are recycled and the steady state makes
-//    zero heap allocations per request.
+//    rounded up to a power of two, from 1 element up to 2^30. Every
+//    non-empty request is pooled, including the sub-256-element
+//    temporaries (scalar losses, per-sample trend factors, small batch
+//    rows), so a steady-state training step and a steady-state forecast
+//    request both make zero heap allocations.
 //  * Acquire returns storage as shared_ptr whose deleter routes the buffer
 //    back to the pool instead of freeing it, so Tensor's storage-sharing
 //    semantics are unchanged.
@@ -22,14 +20,13 @@
 //    the bitwise-determinism contract in tensor.h is unaffected.
 //  * Retained bytes are capped (TGCRN_TENSOR_POOL_MAX_MB, default 512);
 //    releases beyond the cap free the buffer instead of caching it.
-//  * TGCRN_TENSOR_POOL=0 disables recycling entirely (every Acquire
-//    allocates, every release frees); SetEnabled flips it at runtime.
 //
 // Observability: tensor.pool_hit / tensor.pool_miss / tensor.pool_bytes_reused
 // counters in the global metric registry, plus GetStats() for tests.
 // tensor.allocations / tensor.allocated_bytes count only real heap
-// allocations (pool misses and bypasses), which is what makes the pool's
-// effect visible as an alloc-count drop per training step.
+// allocations (pool misses and out-of-range requests), which is what
+// makes the pool's effect visible as an alloc-count drop per training
+// step.
 #ifndef TGCRN_TENSOR_BUFFER_POOL_H_
 #define TGCRN_TENSOR_BUFFER_POOL_H_
 
@@ -58,24 +55,6 @@ class TensorBufferPool {
   // determinism contract still holds because the caller's writes, not
   // the buffer's history, define every bit that escapes.
   std::shared_ptr<std::vector<float>> AcquireForOverwrite(int64_t numel);
-
-  // Runtime switch (initialized from TGCRN_TENSOR_POOL; "0" disables).
-  // Disabling drops every cached buffer.
-  void SetEnabled(bool enabled);
-  bool enabled() const;
-
-  // Smallest request (in elements) served from the pool; anything below
-  // bypasses it and heap-allocates. Rounded up to a power of two and
-  // clamped to [1, 2^30]. Default 256 — training keeps the malloc fast
-  // path for tiny scalars; the serve session lowers the floor to 1 so
-  // every per-request temporary is pool-served (the zero-alloc steady
-  // state contract, docs/SERVING.md). Raising the floor frees cached
-  // buffers that fall below it.
-  void SetMinPooledElements(int64_t numel);
-  int64_t min_pooled_elements() const;
-  // Re-reads TGCRN_TENSOR_POOL from the environment (test hook for the
-  // opt-out path; the env var is otherwise read once at startup).
-  void ReloadEnabledFromEnv();
 
   // Frees every cached buffer (retained bytes drop to zero).
   void Clear();

@@ -527,7 +527,7 @@ enum class MatmulMode { kNN, kTransposeA, kTransposeB };
 // flattened batch x row dimension. Per output element every kernel
 // accumulates over `red` in ascending order with a structure fixed by
 // the shapes, so results are bitwise identical at every thread count
-// and pool/arena toggle at a fixed ISA level; TGCRN_ISA=scalar
+// at a fixed ISA level; TGCRN_ISA=scalar
 // reproduces the legacy serial loops bit for bit.
 Tensor BatchedMatmulImpl(const Tensor& a, const Tensor& b, MatmulMode mode) {
   TGCRN_CHECK_GE(a.dim(), 2);

@@ -15,16 +15,14 @@
 //  * Matmul and Exp/Sigmoid/Tanh dispatch to ISA-specific SIMD kernels
 //    (tensor/kernels/, selected by TGCRN_ISA / CPUID — see
 //    common/cpu_features.h). The determinism contract: outputs are
-//    bitwise identical at every thread count and pool/arena toggle *at a
-//    fixed ISA level* — per-element accumulation structure depends only
-//    on the shapes, and full reductions use a fixed-chunk tree. ISA
-//    levels may differ from each other in the last bits (FMA
-//    contraction); TGCRN_ISA=scalar reproduces the legacy serial
-//    arithmetic exactly.
+//    bitwise identical at every thread count *at a fixed ISA level* —
+//    per-element accumulation structure depends only on the shapes, and
+//    full reductions use a fixed-chunk tree. ISA levels may differ from
+//    each other in the last bits (FMA contraction); TGCRN_ISA=scalar
+//    reproduces the legacy serial arithmetic exactly.
 //  * Storage is recycled through the size-bucketed buffer pool in
-//    tensor/buffer_pool.h (TGCRN_TENSOR_POOL=0 opts out). Pooled buffers
-//    are fully re-initialized before reuse, so the determinism contract
-//    holds with the pool on or off.
+//    tensor/buffer_pool.h. Pooled buffers are fully re-initialized before
+//    reuse, so a recycled buffer and a fresh one are bit-identical.
 #ifndef TGCRN_TENSOR_TENSOR_H_
 #define TGCRN_TENSOR_TENSOR_H_
 

@@ -3,9 +3,10 @@
 // autograd step arena (nodes bump-allocated per step, flat teardown,
 // nothing live after the scope — run under ASan in CI), and persistent
 // gradient buffers (ZeroGrad retains storage; a steady-state training step
-// performs zero tensor allocations with the pool and arena on).
+// performs zero tensor allocations).
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "optim/optimizer.h"
-#include "tensor/buffer_pool.h"
 #include "tensor/tensor.h"
 
 namespace tgcrn {
@@ -82,7 +82,6 @@ TEST(ArenaTest, GrowsByBlocksAndServesOversizedRequests) {
 // --- Step arena -----------------------------------------------------------
 
 TEST(StepArenaTest, InteriorNodesGoThroughArenaAndAllDieAtScopeEnd) {
-  ASSERT_TRUE(ag::AutogradArenaEnabled()) << "arena should default to on";
   const auto before = ag::internal::ThreadGraphArenaStats();
   const int64_t arena_nodes_before = CounterValue("arena.nodes_allocated");
   {
@@ -134,21 +133,6 @@ TEST(StepArenaTest, ScopesNestAndResetOnlyAtOutermostExit) {
   EXPECT_TRUE(w.has_grad());
 }
 
-TEST(StepArenaTest, DisabledArenaFallsBackToHeapNodes) {
-  ag::SetAutogradArenaEnabled(false);
-  const auto before = ag::internal::ThreadGraphArenaStats();
-  {
-    ag::StepArenaScope step;
-    Variable w = Leaf({4, 4}, 5);
-    ag::SumAll(ag::Sigmoid(w)).Backward();
-    EXPECT_TRUE(w.has_grad());
-    EXPECT_FALSE(ag::internal::ThreadGraphArenaStats().in_step);
-  }
-  EXPECT_EQ(ag::internal::ThreadGraphArenaStats().nodes_allocated_total,
-            before.nodes_allocated_total);
-  ag::SetAutogradArenaEnabled(true);
-}
-
 TEST(StepArenaTest, NoGradGuardInsideScopeBuildsNoArenaNodes) {
   ag::StepArenaScope step;
   const auto before = ag::internal::ThreadGraphArenaStats();
@@ -175,19 +159,29 @@ TEST(StepArenaTest, DetachedValueSurvivesScopeEnd) {
   EXPECT_GT(kept.value().SumAll(), 0.0f);
 }
 
+// The same step built inside a StepArenaScope (arena nodes) and outside
+// any scope (refcounted heap nodes) must produce identical gradients.
 TEST(StepArenaTest, GradientsBitwiseIdenticalArenaOnOff) {
-  auto run = [](bool arena_on) {
-    ag::SetAutogradArenaEnabled(arena_on);
-    ag::StepArenaScope step;
+  auto run = [](bool in_scope, int64_t* arena_nodes) {
+    const int64_t nodes_before =
+        ag::internal::ThreadGraphArenaStats().nodes_allocated_total;
+    std::optional<ag::StepArenaScope> step;
+    if (in_scope) step.emplace();
     Variable w = Leaf({16, 16}, 8);
     Variable x = Leaf({16, 16}, 9, /*requires_grad=*/false);
     Variable y = ag::MeanAll(ag::Tanh(ag::Matmul(x, w)));
     y.Backward();
+    *arena_nodes =
+        ag::internal::ThreadGraphArenaStats().nodes_allocated_total -
+        nodes_before;
     return w.grad().Clone();
   };
-  const Tensor with_arena = run(true);
-  const Tensor without_arena = run(false);
-  ag::SetAutogradArenaEnabled(true);
+  int64_t arena_nodes_in = 0;
+  int64_t arena_nodes_out = 0;
+  const Tensor with_arena = run(true, &arena_nodes_in);
+  const Tensor without_arena = run(false, &arena_nodes_out);
+  EXPECT_GT(arena_nodes_in, 0);   // interior nodes went to the arena
+  EXPECT_EQ(arena_nodes_out, 0);  // heap nodes outside any scope
   ASSERT_EQ(with_arena.shape(), without_arena.shape());
   EXPECT_EQ(std::memcmp(with_arena.data(), without_arena.data(),
                         static_cast<size_t>(with_arena.numel()) *
@@ -250,29 +244,22 @@ TEST(GradRetentionTest, ZeroGradClearsFlagButKeepsBuffer) {
   EXPECT_TRUE(w.grad().AllClose(Tensor::Ones({16, 16})));
 }
 
-// The headline guarantee: with the buffer pool and the arena on, a
-// steady-state training step allocates no tensor storage at all — graph
-// nodes come from the arena, activations and interior grads from the pool,
-// and leaf grads from the retained buffers.
+// The headline guarantee: a steady-state training step allocates no
+// tensor storage at all — graph nodes come from the arena, activations,
+// interior grads and the scalar loss (with its seed gradient) from the
+// pool, and leaf grads from the retained buffers.
 TEST(GradRetentionTest, SteadyStateStepMakesZeroTensorAllocations) {
-  TensorBufferPool::Global().SetEnabled(true);
-  ASSERT_TRUE(ag::AutogradArenaEnabled());
-
   Variable w1 = Leaf({64, 64}, 14);
   Variable w2 = Leaf({64, 64}, 15);
   Variable x = Leaf({16, 64}, 16, /*requires_grad=*/false);
-  // Explicit output gradient: avoids the sub-pool-threshold scalar a
-  // SumAll loss would allocate each step. Every tensor in the step is
-  // >= 1024 elements, comfortably pool-served.
-  const Tensor grad_out = Tensor::Ones({16, 64});
 
   auto step = [&]() {
     w1.ZeroGrad();
     w2.ZeroGrad();
     ag::StepArenaScope scope;
     Variable h = ag::Sigmoid(ag::Matmul(x, w1));
-    Variable y = ag::Tanh(ag::Matmul(h, w2));
-    y.Backward(grad_out);
+    Variable loss = ag::SumAll(ag::Tanh(ag::Matmul(h, w2)));
+    loss.Backward();
   };
 
   for (int i = 0; i < 3; ++i) step();  // warm the pool and the arena
@@ -284,8 +271,6 @@ TEST(GradRetentionTest, SteadyStateStepMakesZeroTensorAllocations) {
       << "steady-state step allocated tensor storage";
   EXPECT_EQ(CounterValue("tensor.grad_buffer_reuse"), reuse_before + 10)
       << "expected both leaf grads reused every step";
-
-  TensorBufferPool::Global().ReloadEnabledFromEnv();
 }
 
 // --- In-place Adam over the stable buffers --------------------------------

@@ -3,10 +3,9 @@
 // computation at 1, 2 and 8 threads must produce byte-identical results on
 // randomized shapes (including sizes not divisible by the chunk grain,
 // empty tensors, and batch=1), and a full Trainer epoch must produce
-// identical losses at 1 vs N threads — at each fixed SIMD ISA level, with
-// the buffer pool and autograd arena toggled both ways. A regression test
-// pins that the TGCRN_ISA env override actually routes dispatch (via the
-// simd.* counters in the metric registry).
+// identical losses at 1 vs N threads — at each fixed SIMD ISA level. A
+// regression test pins that the TGCRN_ISA env override actually routes
+// dispatch (via the simd.* counters in the metric registry).
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -24,7 +23,6 @@
 #include "core/trainer.h"
 #include "datagen/metro_sim.h"
 #include "obs/metrics.h"
-#include "tensor/buffer_pool.h"
 #include "tensor/tensor.h"
 
 namespace tgcrn {
@@ -405,127 +403,6 @@ TEST(ParallelDeterminismTest, TrainerEpochIdenticalAcrossThreadCounts) {
   EXPECT_EQ(parallel.num_threads, 8);
 }
 
-// The buffer pool recycles storage but never changes values: a full train
-// epoch with the pool on must produce bitwise-identical losses to one with
-// the pool off.
-TEST(ParallelDeterminismTest, TrainerEpochIdenticalPoolOnOff) {
-  datagen::MetroSimConfig sim_config;
-  sim_config.num_stations = 6;
-  sim_config.num_days = 8;
-  sim_config.seed = 321;
-  sim_config.keep_od_ground_truth = false;
-
-  auto run_epoch = [&](bool pool_enabled) {
-    TensorBufferPool::Global().SetEnabled(pool_enabled);
-    auto sim = datagen::SimulateMetro(sim_config);
-    data::ForecastDataset::Options options;
-    options.input_steps = 4;
-    options.output_steps = 2;
-    data::ForecastDataset dataset(std::move(sim.data), options);
-
-    core::TGCRNConfig model_config;
-    model_config.num_nodes = 6;
-    model_config.input_dim = 2;
-    model_config.output_dim = 2;
-    model_config.horizon = 2;
-    model_config.hidden_dim = 8;
-    model_config.num_layers = 1;
-    model_config.node_embed_dim = 6;
-    model_config.time_embed_dim = 4;
-    model_config.steps_per_day = 72;
-    Rng rng(55);
-    core::TGCRN model(model_config, &rng);
-
-    core::TrainConfig train_config;
-    train_config.epochs = 1;
-    train_config.max_batches_per_epoch = 12;
-    train_config.num_threads = 2;
-    train_config.verbose = false;
-    return core::TrainAndEvaluate(&model, dataset, train_config);
-  };
-
-  const auto with_pool = run_epoch(true);
-  const auto without_pool = run_epoch(false);
-  TensorBufferPool::Global().ReloadEnabledFromEnv();
-  common::SetNumThreads(1);
-
-  ASSERT_EQ(with_pool.train_loss_history.size(),
-            without_pool.train_loss_history.size());
-  for (size_t i = 0; i < with_pool.train_loss_history.size(); ++i) {
-    EXPECT_EQ(with_pool.train_loss_history[i],
-              without_pool.train_loss_history[i])
-        << "train loss diverged at epoch " << i;
-  }
-  ASSERT_EQ(with_pool.val_mae_history.size(),
-            without_pool.val_mae_history.size());
-  for (size_t i = 0; i < with_pool.val_mae_history.size(); ++i) {
-    EXPECT_EQ(with_pool.val_mae_history[i], without_pool.val_mae_history[i]);
-  }
-}
-
-// The autograd step arena changes where graph nodes live, never what they
-// compute: a train epoch must produce bitwise-identical losses with
-// TGCRN_AUTOGRAD_ARENA on or off, at every thread count in {1, 2, 4, 8}.
-TEST(ParallelDeterminismTest, TrainerEpochIdenticalArenaOnOffAcrossThreads) {
-  datagen::MetroSimConfig sim_config;
-  sim_config.num_stations = 6;
-  sim_config.num_days = 8;
-  sim_config.seed = 213;
-  sim_config.keep_od_ground_truth = false;
-
-  auto run_epoch = [&](bool arena_enabled, int threads) {
-    ag::SetAutogradArenaEnabled(arena_enabled);
-    auto sim = datagen::SimulateMetro(sim_config);
-    data::ForecastDataset::Options options;
-    options.input_steps = 4;
-    options.output_steps = 2;
-    data::ForecastDataset dataset(std::move(sim.data), options);
-
-    core::TGCRNConfig model_config;
-    model_config.num_nodes = 6;
-    model_config.input_dim = 2;
-    model_config.output_dim = 2;
-    model_config.horizon = 2;
-    model_config.hidden_dim = 8;
-    model_config.num_layers = 1;
-    model_config.node_embed_dim = 6;
-    model_config.time_embed_dim = 4;
-    model_config.steps_per_day = 72;
-    Rng rng(55);
-    core::TGCRN model(model_config, &rng);
-
-    core::TrainConfig train_config;
-    train_config.epochs = 1;
-    train_config.max_batches_per_epoch = 12;
-    train_config.num_threads = threads;
-    train_config.verbose = false;
-    return core::TrainAndEvaluate(&model, dataset, train_config);
-  };
-
-  const auto reference = run_epoch(/*arena_enabled=*/true, /*threads=*/1);
-  for (const bool arena_enabled : {true, false}) {
-    for (const int threads : {1, 2, 4, 8}) {
-      if (arena_enabled && threads == 1) continue;  // the reference run
-      const auto got = run_epoch(arena_enabled, threads);
-      ASSERT_EQ(got.train_loss_history.size(),
-                reference.train_loss_history.size());
-      for (size_t i = 0; i < reference.train_loss_history.size(); ++i) {
-        EXPECT_EQ(got.train_loss_history[i], reference.train_loss_history[i])
-            << "train loss diverged (arena=" << arena_enabled
-            << ", threads=" << threads << ")";
-      }
-      ASSERT_EQ(got.val_mae_history.size(), reference.val_mae_history.size());
-      for (size_t i = 0; i < reference.val_mae_history.size(); ++i) {
-        EXPECT_EQ(got.val_mae_history[i], reference.val_mae_history[i])
-            << "val MAE diverged (arena=" << arena_enabled
-            << ", threads=" << threads << ")";
-      }
-    }
-  }
-  ag::SetAutogradArenaEnabled(true);
-  common::SetNumThreads(1);
-}
-
 // Kernel-level sweep at each fixed ISA: thread-count invariance must hold
 // with the scalar kernels pinned and (when available) with the AVX2
 // kernels pinned — not just at whatever level auto-dispatch picked.
@@ -620,9 +497,9 @@ TEST(ParallelDeterminismTest, SparseTopKAndSpmmPerIsa) {
   }
 }
 
-// End-to-end matrix at each fixed ISA: a Trainer epoch must produce
-// bitwise-identical losses across 1/2/4/8 threads x pool on/off x arena
-// on/off. The reference run per ISA is (1 thread, pool on, arena on).
+// End-to-end matrix at each fixed ISA: a Trainer epoch — buffer pool and
+// step arena engaged, as always — must produce bitwise-identical losses
+// across 1/2/4/8 threads. The reference run per ISA is 1 thread.
 TEST(ParallelDeterminismTest, TrainerEpochIdenticalThreadsPoolArenaPerIsa) {
   datagen::MetroSimConfig sim_config;
   sim_config.num_stations = 6;
@@ -630,9 +507,7 @@ TEST(ParallelDeterminismTest, TrainerEpochIdenticalThreadsPoolArenaPerIsa) {
   sim_config.seed = 132;
   sim_config.keep_od_ground_truth = false;
 
-  auto run_epoch = [&](int threads, bool pool_enabled, bool arena_enabled) {
-    TensorBufferPool::Global().SetEnabled(pool_enabled);
-    ag::SetAutogradArenaEnabled(arena_enabled);
+  auto run_epoch = [&](int threads) {
     auto sim = datagen::SimulateMetro(sim_config);
     data::ForecastDataset::Options options;
     options.input_steps = 4;
@@ -663,38 +538,26 @@ TEST(ParallelDeterminismTest, TrainerEpochIdenticalThreadsPoolArenaPerIsa) {
   for (const common::SimdIsa isa : AvailableIsas()) {
     common::ScopedSimdIsa pin(isa);
     const std::string tag = std::string(common::SimdIsaName(isa));
-    const auto reference =
-        run_epoch(/*threads=*/1, /*pool_enabled=*/true, /*arena_enabled=*/true);
-    for (const int threads : {1, 2, 4, 8}) {
-      for (const bool pool : {true, false}) {
-        for (const bool arena : {true, false}) {
-          if (threads == 1 && pool && arena) continue;  // the reference run
-          const auto got = run_epoch(threads, pool, arena);
-          const std::string combo = "isa=" + tag +
-                                    " threads=" + std::to_string(threads) +
-                                    " pool=" + std::to_string(pool) +
-                                    " arena=" + std::to_string(arena);
-          ASSERT_EQ(got.train_loss_history.size(),
-                    reference.train_loss_history.size())
-              << combo;
-          for (size_t i = 0; i < reference.train_loss_history.size(); ++i) {
-            EXPECT_EQ(got.train_loss_history[i],
-                      reference.train_loss_history[i])
-                << "train loss diverged (" << combo << ")";
-          }
-          ASSERT_EQ(got.val_mae_history.size(),
-                    reference.val_mae_history.size())
-              << combo;
-          for (size_t i = 0; i < reference.val_mae_history.size(); ++i) {
-            EXPECT_EQ(got.val_mae_history[i], reference.val_mae_history[i])
-                << "val MAE diverged (" << combo << ")";
-          }
-        }
+    const auto reference = run_epoch(/*threads=*/1);
+    for (const int threads : {2, 4, 8}) {
+      const auto got = run_epoch(threads);
+      const std::string combo =
+          "isa=" + tag + " threads=" + std::to_string(threads);
+      ASSERT_EQ(got.train_loss_history.size(),
+                reference.train_loss_history.size())
+          << combo;
+      for (size_t i = 0; i < reference.train_loss_history.size(); ++i) {
+        EXPECT_EQ(got.train_loss_history[i], reference.train_loss_history[i])
+            << "train loss diverged (" << combo << ")";
+      }
+      ASSERT_EQ(got.val_mae_history.size(), reference.val_mae_history.size())
+          << combo;
+      for (size_t i = 0; i < reference.val_mae_history.size(); ++i) {
+        EXPECT_EQ(got.val_mae_history[i], reference.val_mae_history[i])
+            << "val MAE diverged (" << combo << ")";
       }
     }
   }
-  TensorBufferPool::Global().ReloadEnabledFromEnv();
-  ag::SetAutogradArenaEnabled(true);
   common::SetNumThreads(1);
 }
 

@@ -366,17 +366,23 @@ TEST_F(ServeSessionFixture, WaveTimingsCoverEveryObservationInOrder) {
   EXPECT_EQ(session.wave_timings()[1].active, 1);
 }
 
+// Training and serving share one pool policy: the floor is one element for
+// every caller, so a session neither changes it while alive nor leaves it
+// changed behind — sub-256-element tensors keep recycling afterwards.
 TEST_F(ServeSessionFixture, PoolFloorIsRestoredWhenTheSessionEnds) {
   TensorBufferPool& pool = TensorBufferPool::Global();
-  const int64_t before = pool.min_pooled_elements();
   {
     Rng rng(8);
     core::TGCRN model(SmallConfig(), &rng);
     serve::InferenceSession session(&model, *scaler_,
                                     serve::SessionConfig());
-    EXPECT_EQ(pool.min_pooled_elements(), 1);
+    session.Observe({ObservationAt("a", 0)});
   }
-  EXPECT_EQ(pool.min_pooled_elements(), before);
+  { Tensor small = Tensor::Full({100}, 1.0f); }
+  const auto before = pool.GetStats();
+  Tensor again = Tensor::Zeros({100});
+  EXPECT_EQ(pool.GetStats().hits, before.hits + 1)
+      << "a sub-256-element tensor bypassed the pool after the session";
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 // match training; LoadParameters rejects shape drift.
 #include <csignal>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -93,7 +94,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
+  bool parsed = false;
+  try {
+    parsed = ParseArgs(argc, argv, &args);
+  } catch (const std::logic_error&) {
+    // std::sto* throws invalid_argument / out_of_range on a bad number.
+    std::fprintf(stderr, "invalid numeric flag value\n");
+  }
+  if (!parsed) {
     std::fprintf(
         stderr,
         "usage: %s [data.csv] --ckpt model.ckpt --nodes N --features D\n"

@@ -10,6 +10,7 @@
 //       [--seed S] [--lr LR] [--graph-topk K] [--report run.jsonl]
 //       [--trace run.trace.json] [--prof run.prof.json]
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "common/thread_pool.h"
@@ -76,7 +77,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
+  bool parsed = false;
+  try {
+    parsed = ParseArgs(argc, argv, &args);
+  } catch (const std::logic_error&) {
+    // std::sto* throws invalid_argument / out_of_range on a bad number.
+    std::fprintf(stderr, "invalid numeric flag value\n");
+  }
+  if (!parsed) {
     std::fprintf(
         stderr,
         "usage: %s <data.csv> --nodes N --features D --steps-per-day S\n"
