@@ -104,6 +104,10 @@ struct UnaryCase {
   float hi;
 };
 
+// Without this, gtest prints the raw bytes of the case (two pointers), so the
+// name ctest discovers for each case changes from one build to the next.
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
+
 class UnaryGradTest : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(UnaryGradTest, Gradcheck) {
