@@ -46,7 +46,6 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/report.h"
-#include "obs/rpc_trace.h"
 #include "obs/trace.h"
 #include "serve/session.h"
 #include "serve/telemetry.h"
@@ -115,10 +114,10 @@ struct Client {
 // request: read/parse collapse to the round start (no socket), the wave
 // timings provide batch_wait/gather/kernel/scatter, and serialize/flush
 // collapse to the wave end (no response encoding in the bench loop).
-tgcrn::obs::RequestTrace SynthesizeTrace(
+tgcrn::serve::RequestTrace SynthesizeTrace(
     int64_t id, int16_t op, int64_t round_start_ns,
     const tgcrn::serve::WaveTiming& wave) {
-  tgcrn::obs::RequestTrace trace;
+  tgcrn::serve::RequestTrace trace;
   trace.Reset();
   trace.id = id;
   trace.op = op;
@@ -380,7 +379,7 @@ int main(int argc, char** argv) {
           session.Observe(observes);
       if (telemetry) {
         for (size_t k = 0; k < observes.size(); ++k) {
-          tgcrn::obs::RequestTrace trace = SynthesizeTrace(
+          tgcrn::serve::RequestTrace trace = SynthesizeTrace(
               telemetry->NextRequestId(), tgcrn::serve::kOpObserve,
               round_start_ns,
               session.wave_timings()[result.wave_index[k]]);
@@ -396,7 +395,7 @@ int main(int argc, char** argv) {
         for (size_t k = 0; k < forecasts.size(); ++k) {
           // Forecast waves are contiguous chunks of batch_max rows.
           const size_t ordinal = k / static_cast<size_t>(args.batch_max);
-          tgcrn::obs::RequestTrace trace = SynthesizeTrace(
+          tgcrn::serve::RequestTrace trace = SynthesizeTrace(
               telemetry->NextRequestId(), tgcrn::serve::kOpForecast,
               round_start_ns, session.wave_timings()[ordinal]);
           telemetry->RecordRequest(&trace);

@@ -5,15 +5,15 @@
 //      sensor network generated inline - replace with your CSV loader),
 //   2. wrap it in a ForecastDataset (windowing, scaling, splits),
 //   3. configure and train TGCRN,
-//   4. save the trained weights, reload them into a fresh model, and
-//      verify the reloaded model predicts identically.
+//   4. save a checkpoint (config + weights + scaler), load it back as a
+//      new model, and verify the reloaded model predicts identically.
 //
 // Run:  ./examples/custom_dataset
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 
-#include "core/tgcrn.h"
+#include "core/checkpoint.h"
 #include "core/trainer.h"
 
 using namespace tgcrn;  // NOLINT: example brevity
@@ -79,26 +79,26 @@ int main() {
   const std::string ckpt =
       (std::filesystem::temp_directory_path() / "custom_model.ckpt")
           .string();
-  Status status = model.SaveParameters(ckpt);
+  const Status status = core::SaveCheckpoint(ckpt, model, dataset.scaler());
   if (!status.ok()) {
     std::printf("save failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  Rng rng2(999);  // different init on purpose
-  core::TGCRN reloaded(config, &rng2);
-  status = reloaded.LoadParameters(ckpt);
-  if (!status.ok()) {
-    std::printf("load failed: %s\n", status.ToString().c_str());
+  auto loaded = core::LoadCheckpoint(ckpt);
+  if (!loaded.ok()) {
+    std::printf("load failed: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
+  core::TGCRN& reloaded = *loaded.ValueOrDie().model;
   const data::Batch probe =
       dataset.MakeBatch(data::ForecastDataset::Split::kTest, {0, 1});
   model.SetTraining(false);
   reloaded.SetTraining(false);
   const Tensor a = model.Forward(probe).value();
   const Tensor b = reloaded.Forward(probe).value();
+  const bool identical = a.AllClose(b, 0.0f);
   std::printf("reloaded model reproduces predictions exactly: %s\n",
-              a.AllClose(b, 1e-6f) ? "yes" : "NO");
+              identical ? "yes" : "NO");
   std::filesystem::remove(ckpt);
-  return a.AllClose(b, 1e-6f) ? 0 : 1;
+  return identical ? 0 : 1;
 }

@@ -1,0 +1,60 @@
+// Copyright 2026 TGCRN Reproduction Authors
+// Command-line flags for the shipped tools: a table of "--name value"
+// flags, each bound to a destination. A numeric value parses only if the
+// whole string is one in-range number of the destination type — "12abc",
+// "", " 5", "abc" and overflow all fail, where std::sto* would throw or
+// silently accept a prefix.
+#ifndef TGCRN_COMMON_FLAGS_H_
+#define TGCRN_COMMON_FLAGS_H_
+
+#include <charconv>
+#include <cstdio>
+#include <functional>
+#include <map>
+#include <string>
+#include <type_traits>
+#include <utility>
+
+namespace tgcrn {
+
+class Flags {
+ public:
+  // Binds `name` to *out: a std::string takes the value verbatim, an
+  // arithmetic type through a full-match std::from_chars.
+  template <typename T>
+  Flags& Add(std::string name, T* out) {
+    flags_[std::move(name)] = [out](const std::string& text) {
+      if constexpr (std::is_same_v<T, std::string>) {
+        *out = text;
+        return true;
+      } else {
+        const char* end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+        return ec == std::errc() && ptr == end;
+      }
+    };
+    return *this;
+  }
+
+  // Consumes "--name value" pairs from argv[first, argc). False, naming
+  // the offender on stderr, for an unknown flag, a flag without a value,
+  // or a value that does not parse.
+  bool Parse(int argc, char** argv, int first) const {
+    if (argc < first || (argc - first) % 2 != 0) return false;
+    for (int i = first; i < argc; i += 2) {
+      const auto flag = flags_.find(argv[i]);
+      if (flag == flags_.end() || !flag->second(argv[i + 1])) {
+        std::fprintf(stderr, "bad flag %s %s\n", argv[i], argv[i + 1]);
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::map<std::string, std::function<bool(const std::string&)>> flags_;
+};
+
+}  // namespace tgcrn
+
+#endif  // TGCRN_COMMON_FLAGS_H_

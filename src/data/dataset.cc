@@ -5,8 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -204,74 +202,6 @@ std::vector<std::vector<int64_t>> ForecastDataset::EpochBatches(
     batches.emplace_back(ids.begin() + start, ids.begin() + end);
   }
   return batches;
-}
-
-namespace {
-// Trailer magic of the scaler footer; the byte count before it is
-// derivable from the uint64 channel count that precedes it, so the
-// footer can be located from the end of the file without parsing the
-// parameter stream it follows.
-constexpr char kScalerMagic[8] = {'T', 'G', 'C', 'R', 'N', 'S', 'C', 'L'};
-constexpr size_t kScalerTrailerBytes = sizeof(uint64_t) + sizeof(kScalerMagic);
-}  // namespace
-
-Status AppendScalerFooter(const std::string& path,
-                          const StandardScaler& scaler) {
-  if (scaler.means().empty() ||
-      scaler.means().size() != scaler.stds().size()) {
-    return Status::FailedPrecondition("scaler is not fitted");
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) return Status::IOError("cannot open " + path + " for append");
-  const uint64_t d = scaler.means().size();
-  out.write(reinterpret_cast<const char*>(scaler.means().data()),
-            static_cast<std::streamsize>(d * sizeof(float)));
-  out.write(reinterpret_cast<const char*>(scaler.stds().data()),
-            static_cast<std::streamsize>(d * sizeof(float)));
-  out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-  out.write(kScalerMagic, sizeof(kScalerMagic));
-  if (!out.good()) return Status::IOError("footer write failed for " + path);
-  return Status::OK();
-}
-
-Status LoadScalerFooter(const std::string& path, StandardScaler* scaler) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path + " for reading");
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < static_cast<std::streamoff>(kScalerTrailerBytes)) {
-    return Status::NotFound(path + " has no scaler footer");
-  }
-  in.seekg(size - static_cast<std::streamoff>(kScalerTrailerBytes));
-  uint64_t d = 0;
-  char magic[sizeof(kScalerMagic)];
-  in.read(reinterpret_cast<char*>(&d), sizeof(d));
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kScalerMagic, sizeof(magic)) != 0) {
-    return Status::NotFound(path + " has no scaler footer");
-  }
-  const uint64_t moment_bytes = 2 * d * sizeof(float);
-  if (d == 0 ||
-      static_cast<uint64_t>(size) < kScalerTrailerBytes + moment_bytes) {
-    return Status::InvalidArgument("corrupt scaler footer in " + path);
-  }
-  in.seekg(size - static_cast<std::streamoff>(kScalerTrailerBytes +
-                                              moment_bytes));
-  std::vector<float> means(d);
-  std::vector<float> stds(d);
-  in.read(reinterpret_cast<char*>(means.data()),
-          static_cast<std::streamsize>(d * sizeof(float)));
-  in.read(reinterpret_cast<char*>(stds.data()),
-          static_cast<std::streamsize>(d * sizeof(float)));
-  if (!in.good()) return Status::IOError("truncated scaler footer " + path);
-  for (float s : stds) {
-    if (!(s > 0.0f)) {
-      return Status::InvalidArgument("corrupt scaler footer in " + path +
-                                     " (non-positive std)");
-    }
-  }
-  scaler->SetMoments(std::move(means), std::move(stds));
-  return Status::OK();
 }
 
 }  // namespace data

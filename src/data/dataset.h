@@ -7,11 +7,9 @@
 #ifndef TGCRN_DATA_DATASET_H_
 #define TGCRN_DATA_DATASET_H_
 
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 #include "tensor/tensor.h"
 
 namespace tgcrn {
@@ -35,8 +33,8 @@ class StandardScaler {
   // Fits mean/std per feature channel over steps [0, fit_steps) of `values`.
   void Fit(const Tensor& values, int64_t fit_steps);
 
-  // Installs previously fitted moments (e.g. from a checkpoint's scaler
-  // footer — see LoadScalerFooter). Sizes must match and be non-empty.
+  // Installs previously fitted moments (e.g. from a checkpoint — see
+  // core/checkpoint.h). Sizes must match and be non-empty.
   void SetMoments(std::vector<float> means, std::vector<float> stds);
 
   // (x - mean) / std, per channel.
@@ -51,20 +49,6 @@ class StandardScaler {
   std::vector<float> means_;
   std::vector<float> stds_;
 };
-
-// Appends the fitted scaler to a parameter checkpoint file as a
-// self-describing footer (docs/SERVING.md "Checkpoint format"):
-//   float32 means[d], float32 stds[d], uint64 d, char magic[8]
-// Readers that only consume the leading parameter stream
-// (Module::LoadParameters) are unaffected by the trailing bytes.
-Status AppendScalerFooter(const std::string& path,
-                          const StandardScaler& scaler);
-
-// Loads the scaler footer written by AppendScalerFooter. NotFound if the
-// file carries no footer (pre-footer checkpoint), IOError/InvalidArgument
-// on an unreadable or corrupt one; on success *scaler holds the persisted
-// moments bitwise.
-Status LoadScalerFooter(const std::string& path, StandardScaler* scaler);
 
 // One mini-batch of forecasting samples.
 struct Batch {

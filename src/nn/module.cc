@@ -2,7 +2,6 @@
 #include "nn/module.h"
 
 #include <cstdint>
-#include <fstream>
 
 namespace tgcrn {
 namespace nn {
@@ -53,58 +52,6 @@ ag::Variable Module::RegisterParameter(std::string name, Tensor init) {
 void Module::RegisterModule(std::string name, Module* module) {
   TGCRN_CHECK(module != nullptr);
   children_.emplace_back(std::move(name), module);
-}
-
-Status Module::SaveParameters(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  const auto params = Parameters();
-  const uint64_t count = params.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& p : params) {
-    const Tensor& value = p.value();
-    const uint64_t rank = value.shape().size();
-    out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
-    for (int64_t d : value.shape()) {
-      out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-    }
-    out.write(reinterpret_cast<const char*>(value.data()),
-              static_cast<std::streamsize>(value.numel() * sizeof(float)));
-  }
-  if (!out.good()) return Status::IOError("write failed for " + path);
-  return Status::OK();
-}
-
-Status Module::LoadParameters(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path + " for reading");
-  auto params = Parameters();
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (count != params.size()) {
-    return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(count) + " parameters, model has " +
-        std::to_string(params.size()));
-  }
-  for (auto& p : params) {
-    uint64_t rank = 0;
-    in.read(reinterpret_cast<char*>(&rank), sizeof(rank));
-    Shape shape(rank);
-    for (uint64_t d = 0; d < rank; ++d) {
-      in.read(reinterpret_cast<char*>(&shape[d]), sizeof(shape[d]));
-    }
-    if (shape != p.value().shape()) {
-      return Status::InvalidArgument(
-          "checkpoint shape " + ShapeToString(shape) + " != model shape " +
-          ShapeToString(p.value().shape()));
-    }
-    Tensor value(shape);
-    in.read(reinterpret_cast<char*>(value.mutable_data()),
-            static_cast<std::streamsize>(value.numel() * sizeof(float)));
-    if (!in.good()) return Status::IOError("truncated checkpoint " + path);
-    p.SetValue(std::move(value));
-  }
-  return Status::OK();
 }
 
 void Module::CopyParametersFrom(const Module& other) {

@@ -1,8 +1,8 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Base class for neural-network modules: a named parameter registry with
-// recursive collection, train/eval mode, and binary checkpointing. Concrete
-// layers own their submodules as plain members and register them in their
-// constructor, mirroring the torch.nn.Module idiom.
+// recursive collection and train/eval mode. Concrete layers own their
+// submodules as plain members and register them in their constructor,
+// mirroring the torch.nn.Module idiom.
 #ifndef TGCRN_NN_MODULE_H_
 #define TGCRN_NN_MODULE_H_
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "autograd/variable.h"
-#include "common/status.h"
 
 namespace tgcrn {
 namespace nn {
@@ -40,11 +39,6 @@ class Module {
   // Switches train/eval mode recursively (affects dropout etc.).
   void SetTraining(bool training);
   bool training() const { return training_; }
-
-  // Binary checkpoint of all parameter values, in registration order.
-  // Load fails if the parameter count or any shape differs.
-  Status SaveParameters(const std::string& path) const;
-  Status LoadParameters(const std::string& path);
 
   // Copies parameter values from another module with an identical
   // parameter layout (used by early stopping to restore the best weights).

@@ -176,7 +176,7 @@ class Adam : public Optimizer {
   int64_t step_count() const { return step_; }
 
   // Persists the moment estimates and step counter so training can resume
-  // exactly (the parameters themselves are saved by Module::SaveParameters).
+  // exactly (the parameters themselves are saved by core::SaveCheckpoint).
   Status SaveState(const std::string& path) const {
     std::ofstream out(path, std::ios::binary);
     if (!out) return Status::IOError("cannot open " + path);

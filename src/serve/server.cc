@@ -513,7 +513,7 @@ void Server::Run() {
   while (!shutdown_ && !stop_.load(std::memory_order_relaxed)) {
     // One relaxed load per round decides whether this round stamps
     // traces; disarmed serving takes no other telemetry branches.
-    tracing_ = telemetry_ != nullptr && obs::RpcTracingArmed();
+    tracing_ = telemetry_ != nullptr && RpcTracingArmed();
     std::vector<pollfd> fds;
     fds.push_back({listen_fd_, POLLIN, 0});
     std::vector<size_t> fd_conn;  // fds[1 + j] belongs to conns_[fd_conn[j]]

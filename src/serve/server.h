@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/rpc_trace.h"
 #include "serve/session.h"
 #include "serve/telemetry.h"
 
@@ -90,7 +89,7 @@ class Server {
     int64_t id = 0;          // client-supplied "id" (0 = none)
     bool client_id = false;  // echo `id` in the response
     std::vector<float> values;  // observe payload, flattened [N*d]
-    obs::RequestTrace trace;    // stamped only while tracing is armed
+    RequestTrace trace;         // stamped only while tracing is armed
   };
 
   void AcceptNew();

@@ -75,8 +75,8 @@ struct WaveTiming {
 class InferenceSession {
  public:
   // `model` (borrowed, must outlive the session) is switched to eval mode;
-  // `scaler` must be the one fitted at training time — the checkpoint
-  // stores only parameters (docs/SERVING.md "Checkpoint format").
+  // `scaler` must be the one fitted at training time, as a
+  // core::Checkpoint carries it.
   InferenceSession(core::TGCRN* model, data::StandardScaler scaler,
                    SessionConfig config);
 

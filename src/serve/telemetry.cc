@@ -12,6 +12,11 @@
 
 namespace tgcrn {
 namespace serve {
+
+namespace internal {
+std::atomic<bool> g_rpc_trace_armed{false};
+}  // namespace internal
+
 namespace {
 
 const char* const kStageNames[kServeStageCount] = {
@@ -213,7 +218,7 @@ ServeTelemetry::ServeTelemetry(TelemetryConfig config,
   TGCRN_CHECK(g_active_telemetry == nullptr)
       << "one armed ServeTelemetry per process";
   g_active_telemetry = this;
-  obs::SetRpcTracingArmed(true);
+  internal::g_rpc_trace_armed.store(true, std::memory_order_relaxed);
   obs::RegisterFlushHook(&FlushActiveTelemetry);
 }
 
@@ -221,7 +226,7 @@ ServeTelemetry::~ServeTelemetry() {
   Flush();
   if (g_active_telemetry == this) {
     obs::UnregisterFlushHook(&FlushActiveTelemetry);
-    obs::SetRpcTracingArmed(false);
+    internal::g_rpc_trace_armed.store(false, std::memory_order_relaxed);
     g_active_telemetry = nullptr;
   }
 }
@@ -238,7 +243,7 @@ void ServeTelemetry::WriteLogJson(const obs::Json& json) {
   std::fflush(log_);  // cold path (drift blocks, exemplar dump)
 }
 
-void ServeTelemetry::RecordRequest(obs::RequestTrace* trace) {
+void ServeTelemetry::RecordRequest(RequestTrace* trace) {
   trace->Finalize();
   ++requests_recorded_;
   int64_t prev_ns = 0;
@@ -278,7 +283,7 @@ void ServeTelemetry::MaybeEmitDrift() {
   if (log_ != nullptr && drift_.BlockDue()) WriteLogJson(drift_.Block());
 }
 
-obs::Json ServeTelemetry::TraceJson(const obs::RequestTrace& trace) const {
+obs::Json ServeTelemetry::TraceJson(const RequestTrace& trace) const {
   obs::Json out = obs::Json::Object();
   out.Set("id", obs::Json::Int(trace.id));
   out.Set("op", obs::Json::Str(ServeOpName(trace.op)));

@@ -1,7 +1,7 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Request-level serving telemetry (operator guide: docs/SERVING.md
 // "Reading the request telemetry"). Three sinks over one record type,
-// the fixed-size obs::RequestTrace the server stamps as a request moves
+// the fixed-size RequestTrace the server stamps as a request moves
 // through its lifecycle stages:
 //
 //   read -> parse -> batch_wait -> gather -> kernel -> scatter
@@ -22,7 +22,7 @@
 //
 // Arming: telemetry is armed iff TGCRN_SERVE_ACCESS_LOG or
 // TGCRN_SERVE_SLOW_US is set. Disarmed, the server's only per-request
-// cost is one relaxed load (obs::RpcTracingArmed) — no stamps, no
+// cost is one relaxed load (RpcTracingArmed) — no stamps, no
 // recording, bitwise-identical serving. Armed, recording stays free of
 // tensor heap allocations: traces live in a preallocated ring, residual
 // buffers are plain float vectors sized once per entity, and the access
@@ -32,6 +32,8 @@
 #ifndef TGCRN_SERVE_TELEMETRY_H_
 #define TGCRN_SERVE_TELEMETRY_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -40,7 +42,6 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/rpc_trace.h"
 #include "serve/session.h"
 
 namespace tgcrn {
@@ -60,9 +61,89 @@ enum ServeStage {
   kStageFlush,         // response enqueued + first socket flush attempted
   kServeStageCount
 };
-static_assert(kServeStageCount <= obs::kRpcMaxStages,
-              "RequestTrace has a slot per serve stage");
 const char* ServeStageName(int stage);
+
+// One request's lifecycle as a POD record: an id, a start timestamp, and
+// one completion offset per ServeStage.
+struct RequestTrace {
+  int64_t id = 0;        // client-supplied or server-assigned, unique
+  int64_t start_ns = 0;  // steady-clock ns when the request's bytes landed
+  int32_t entity_count = 0;
+  int32_t batch_width = 0;  // active rows of the kernel wave that served it
+  int16_t op = 0;           // ServeOp
+  int16_t status = 0;       // 0 = ok, 1 = error
+  // Per-stage completion offsets from start_ns; kUnset until stamped.
+  // After Finalize(), offsets are monotone non-decreasing: a stage that
+  // never ran inherits the previous stage's offset (zero duration).
+  int64_t stage_ns[kServeStageCount];
+
+  static constexpr int64_t kUnset = -1;
+
+  RequestTrace() { Reset(); }
+  void Reset() {
+    id = start_ns = 0;
+    entity_count = batch_width = 0;
+    op = status = 0;
+    for (int64_t& s : stage_ns) s = kUnset;
+  }
+  // Records `stage` as completed at absolute time `now_ns` (same steady
+  // clock as start_ns).
+  void Stamp(int stage, int64_t now_ns) {
+    stage_ns[stage] = now_ns - start_ns;
+  }
+  // Carries unset stages forward so every slot holds a monotone
+  // non-decreasing offset. Call once, after the last stamp.
+  void Finalize() {
+    int64_t running = 0;
+    for (int64_t& s : stage_ns) {
+      if (s < running) {
+        s = running;  // unset (or skewed) inherits the previous offset
+      } else {
+        running = s;
+      }
+    }
+  }
+  // Offset of the final stage — the request's total latency once
+  // finalized.
+  int64_t total_ns() const { return stage_ns[kServeStageCount - 1]; }
+};
+
+// Fixed-capacity ring of RequestTrace records, preallocated up front.
+// Push never allocates; when full, the oldest record is overwritten (and
+// still counted by total()). Single-writer, like the serving loop.
+class RpcTraceRing {
+ public:
+  explicit RpcTraceRing(int capacity)
+      : ring_(static_cast<size_t>(capacity > 0 ? capacity : 1)) {}
+
+  void Push(const RequestTrace& trace) {
+    ring_[static_cast<size_t>(total_ % capacity())] = trace;
+    ++total_;
+  }
+  int64_t capacity() const { return static_cast<int64_t>(ring_.size()); }
+  // Records currently retained (== min(total, capacity)).
+  int64_t size() const { return std::min(total_, capacity()); }
+  int64_t total() const { return total_; }
+  // i = 0 is the oldest retained record, size() - 1 the newest.
+  const RequestTrace& At(int64_t i) const {
+    const int64_t oldest = total_ - size();
+    return ring_[static_cast<size_t>((oldest + i) % capacity())];
+  }
+  void Clear() { total_ = 0; }
+
+ private:
+  std::vector<RequestTrace> ring_;
+  int64_t total_ = 0;
+};
+
+namespace internal {
+extern std::atomic<bool> g_rpc_trace_armed;
+}  // namespace internal
+
+// True while an armed ServeTelemetry wants per-request traces.
+inline bool RpcTracingArmed() {
+  return internal::g_rpc_trace_armed.load(std::memory_order_relaxed);
+}
 
 // Op codes stored in RequestTrace::op.
 enum ServeOp {
@@ -148,7 +229,7 @@ class DriftMonitor {
 
 // The telemetry sink bundle the server (and bench_serve) records into.
 // Single-threaded like the serving loop. At most one armed instance per
-// process (it owns the obs::RpcTracingArmed flag and the observability
+// process (it owns the RpcTracingArmed flag and the observability
 // flush hook that makes SIGTERM'd servers leave a complete access log).
 class ServeTelemetry {
  public:
@@ -165,7 +246,7 @@ class ServeTelemetry {
   // Finalizes the trace, feeds the stage histograms, appends the access
   // log line, and keeps a slow exemplar if the request crossed
   // TGCRN_SERVE_SLOW_US. `trace` must have its stages stamped in order.
-  void RecordRequest(obs::RequestTrace* trace);
+  void RecordRequest(RequestTrace* trace);
 
   DriftMonitor& drift() { return drift_; }
   // Emits a drift block into the access log when one is due.
@@ -190,12 +271,12 @@ class ServeTelemetry {
  private:
   void WriteLogLine(const char* line);
   void WriteLogJson(const obs::Json& json);
-  obs::Json TraceJson(const obs::RequestTrace& trace) const;
+  obs::Json TraceJson(const RequestTrace& trace) const;
 
   TelemetryConfig config_;
   bool armed_ = false;
   std::FILE* log_ = nullptr;
-  obs::RpcTraceRing slow_;
+  RpcTraceRing slow_;
   DriftMonitor drift_;
   obs::Histogram* stage_hist_[kServeStageCount] = {};
   int64_t next_id_ = 1;

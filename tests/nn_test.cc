@@ -1,8 +1,6 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Tests for the NN module layer: parameter registry, layers' shape
 // contracts, and gradient flow through each layer.
-#include <cstdio>
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -50,36 +48,6 @@ TEST(ModuleTest, TrainEvalModePropagates) {
   EXPECT_TRUE(cell.training());
   cell.SetTraining(false);
   EXPECT_FALSE(cell.training());
-}
-
-TEST(ModuleTest, SaveLoadRoundTrip) {
-  Rng rng(4);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tgcrn_nn_test.ckpt")
-          .string();
-  nn::Linear a(3, 2, &rng);
-  nn::Linear b(3, 2, &rng);
-  ASSERT_FALSE(
-      a.Parameters()[0].value().AllClose(b.Parameters()[0].value(), 1e-7f));
-  ASSERT_TRUE(a.SaveParameters(path).ok());
-  ASSERT_TRUE(b.LoadParameters(path).ok());
-  EXPECT_TRUE(
-      a.Parameters()[0].value().AllClose(b.Parameters()[0].value(), 0.0f));
-  std::filesystem::remove(path);
-}
-
-TEST(ModuleTest, LoadRejectsMismatchedModel) {
-  Rng rng(5);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "tgcrn_nn_test2.ckpt")
-          .string();
-  nn::Linear a(3, 2, &rng);
-  ASSERT_TRUE(a.SaveParameters(path).ok());
-  nn::Linear wrong(4, 2, &rng);
-  const Status st = wrong.LoadParameters(path);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  std::filesystem::remove(path);
 }
 
 TEST(ModuleTest, CopyParametersFrom) {

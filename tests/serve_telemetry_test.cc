@@ -1,10 +1,9 @@
 // Copyright 2026 TGCRN Reproduction Authors
-// Tests of the request-level serving telemetry (src/serve/telemetry.h
-// and its storage layer src/obs/rpc_trace.h): trace finalization
-// monotonicity, ring wrap-around, the access-log exactly-once and
-// schema contracts, the slow-request exemplar buffer, drift-monitor
-// residual math, and the observability flush hook that makes aborted
-// servers leave a complete log.
+// Tests of the request-level serving telemetry (src/serve/telemetry.h):
+// trace finalization monotonicity, ring wrap-around, the access-log
+// exactly-once and schema contracts, the slow-request exemplar buffer,
+// drift-monitor residual math, and the observability flush hook that
+// makes aborted servers leave a complete log.
 #include "serve/telemetry.h"
 
 #include <cstdint>
@@ -19,7 +18,6 @@
 #include "core/tgcrn.h"
 #include "datagen/metro_sim.h"
 #include "obs/json.h"
-#include "obs/rpc_trace.h"
 #include "obs/trace.h"
 #include "serve/session.h"
 
@@ -86,8 +84,8 @@ class ServeTelemetryFixture : public ::testing::Test {
   }
 
   // A plausible fully-stamped trace taking `total_us` end to end.
-  static obs::RequestTrace MakeTrace(int64_t id, int64_t total_us) {
-    obs::RequestTrace trace;
+  static serve::RequestTrace MakeTrace(int64_t id, int64_t total_us) {
+    serve::RequestTrace trace;
     trace.Reset();
     trace.id = id;
     trace.op = serve::kOpObserve;
@@ -117,7 +115,7 @@ serve::InferenceSession* ServeTelemetryFixture::session_ = nullptr;
 // ----------------------------------------------------- RequestTrace/ring --
 
 TEST(RequestTraceTest, FinalizeMakesOffsetsMonotoneNonDecreasing) {
-  obs::RequestTrace trace;
+  serve::RequestTrace trace;
   trace.Reset();
   trace.start_ns = 100;
   // Stamp only some stages, deliberately out of a full lifecycle:
@@ -142,9 +140,9 @@ TEST(RequestTraceTest, FinalizeMakesOffsetsMonotoneNonDecreasing) {
 }
 
 TEST(RpcTraceRingTest, WrapsOverwritingOldestAndKeepsCounting) {
-  obs::RpcTraceRing ring(3);
+  serve::RpcTraceRing ring(3);
   for (int64_t id = 1; id <= 5; ++id) {
-    obs::RequestTrace trace;
+    serve::RequestTrace trace;
     trace.id = id;
     ring.Push(trace);
   }
@@ -170,15 +168,15 @@ TEST_F(ServeTelemetryFixture, AccessLogWritesEachRequestExactlyOnce) {
     config.access_log_path = path;
     serve::ServeTelemetry telemetry(config, session_);
     ASSERT_TRUE(telemetry.armed());
-    EXPECT_TRUE(obs::RpcTracingArmed());
+    EXPECT_TRUE(serve::RpcTracingArmed());
     for (int64_t i = 0; i < 10; ++i) {
-      obs::RequestTrace trace =
+      serve::RequestTrace trace =
           MakeTrace(telemetry.NextRequestId(), /*total_us=*/100 + i);
       telemetry.RecordRequest(&trace);
     }
     EXPECT_EQ(telemetry.requests_recorded(), 10);
   }  // destructor flushes and closes
-  EXPECT_FALSE(obs::RpcTracingArmed());
+  EXPECT_FALSE(serve::RpcTracingArmed());
 
   const std::vector<obs::Json> lines = ReadLogLines(path);
   std::unordered_set<long long> ids;
@@ -218,7 +216,7 @@ TEST_F(ServeTelemetryFixture, SlowBufferKeepsExemplarsAndDumpsOnFlush) {
     serve::ServeTelemetry telemetry(config, session_);
     // Two fast, three slow: the bounded buffer keeps the newest two.
     for (int64_t total_us : {100, 200, 600, 700, 800}) {
-      obs::RequestTrace trace =
+      serve::RequestTrace trace =
           MakeTrace(telemetry.NextRequestId(), total_us);
       telemetry.RecordRequest(&trace);
     }
@@ -246,7 +244,7 @@ TEST_F(ServeTelemetryFixture, ObservabilityFlushHookCompletesTheLog) {
   serve::TelemetryConfig config;
   config.access_log_path = path;
   serve::ServeTelemetry telemetry(config, session_);
-  obs::RequestTrace trace = MakeTrace(telemetry.NextRequestId(), 100);
+  serve::RequestTrace trace = MakeTrace(telemetry.NextRequestId(), 100);
   telemetry.RecordRequest(&trace);
   // The path a CHECK failure or SIGTERM takes: the registered hook must
   // flush and close the access log without touching the telemetry object
@@ -265,7 +263,7 @@ TEST_F(ServeTelemetryFixture, DisarmedConfigRecordsNothing) {
   serve::TelemetryConfig config;  // no access log, no slow threshold
   serve::ServeTelemetry telemetry(config, session_);
   EXPECT_FALSE(telemetry.armed());
-  EXPECT_FALSE(obs::RpcTracingArmed());
+  EXPECT_FALSE(serve::RpcTracingArmed());
 }
 
 // --------------------------------------------------------- DriftMonitor --

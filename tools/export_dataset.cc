@@ -10,6 +10,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "common/table_printer.h"
 #include "data/csv_loader.h"
 #include "datagen/demand_sim.h"
@@ -31,23 +32,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 3) return false;
   args->kind = argv[1];
   args->output = argv[2];
-  for (int i = 3; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--nodes") {
-      args->nodes = std::stoll(value);
-    } else if (flag == "--days") {
-      args->days = std::stoll(value);
-    } else if (flag == "--seed") {
-      args->seed = std::stoull(value);
-    } else if (flag == "--distances") {
-      args->distances_path = value;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return false;
-    }
-  }
-  return true;
+  tgcrn::Flags flags;
+  flags.Add("--nodes", &args->nodes)
+      .Add("--days", &args->days)
+      .Add("--seed", &args->seed)
+      .Add("--distances", &args->distances_path);
+  return flags.Parse(argc, argv, 3);
 }
 
 tgcrn::Status WriteDistances(const tgcrn::Tensor& distances,

@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/table_printer.h"
 #include "obs/json.h"
 #include "serve/telemetry.h"
@@ -53,19 +54,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->command != "slow") {
     return false;
   }
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--port") args->port = std::stoi(value);
-    else if (flag == "--host") args->host = value;
-    else if (flag == "--interval") args->interval_s = std::stod(value);
-    else if (flag == "--count") args->count = std::stoi(value);
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return false;
-    }
-  }
-  return args->port > 0;
+  tgcrn::Flags flags;
+  flags.Add("--port", &args->port)
+      .Add("--host", &args->host)
+      .Add("--interval", &args->interval_s)
+      .Add("--count", &args->count);
+  return flags.Parse(argc, argv, 2) && args->port > 0 && args->port <= 65535;
 }
 
 // One round trip on a fresh connection: send `request` (one line), read

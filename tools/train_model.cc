@@ -10,11 +10,11 @@
 //       [--seed S] [--lr LR] [--graph-topk K] [--report run.jsonl]
 //       [--trace run.trace.json] [--prof run.prof.json]
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
+#include "common/flags.h"
 #include "common/thread_pool.h"
-#include "core/tgcrn.h"
+#include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "data/csv_loader.h"
 #include "obs/prof.h"
@@ -43,48 +43,32 @@ struct Args {
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 2) return false;
   args->data_path = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--nodes") args->csv.num_nodes = std::stoll(value);
-    else if (flag == "--features") args->csv.num_features = std::stoll(value);
-    else if (flag == "--steps-per-day") {
-      args->csv.steps_per_day = std::stoll(value);
-    } else if (flag == "--input-steps") args->input_steps = std::stoll(value);
-    else if (flag == "--output-steps") {
-      args->output_steps = std::stoll(value);
-    } else if (flag == "--epochs") args->epochs = std::stoll(value);
-    else if (flag == "--hidden") args->hidden = std::stoll(value);
-    else if (flag == "--lr") args->lr = std::stof(value);
-    else if (flag == "--seed") args->seed = std::stoull(value);
-    else if (flag == "--threads") args->threads = std::stoi(value);
-    else if (flag == "--graph-topk") args->graph_topk = std::stoll(value);
-    else if (flag == "--variant") args->variant = value;
-    else if (flag == "--save") args->save_path = value;
-    else if (flag == "--report") args->report_path = value;
-    else if (flag == "--trace") args->trace_path = value;
-    else if (flag == "--prof") args->prof_path = value;
-    else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return false;
-    }
-  }
-  return args->csv.num_nodes > 0 && args->csv.num_features > 0 &&
-         args->csv.steps_per_day > 0;
+  tgcrn::Flags flags;
+  flags.Add("--nodes", &args->csv.num_nodes)
+      .Add("--features", &args->csv.num_features)
+      .Add("--steps-per-day", &args->csv.steps_per_day)
+      .Add("--input-steps", &args->input_steps)
+      .Add("--output-steps", &args->output_steps)
+      .Add("--epochs", &args->epochs)
+      .Add("--hidden", &args->hidden)
+      .Add("--lr", &args->lr)
+      .Add("--seed", &args->seed)
+      .Add("--threads", &args->threads)
+      .Add("--graph-topk", &args->graph_topk)
+      .Add("--variant", &args->variant)
+      .Add("--save", &args->save_path)
+      .Add("--report", &args->report_path)
+      .Add("--trace", &args->trace_path)
+      .Add("--prof", &args->prof_path);
+  return flags.Parse(argc, argv, 2) && args->csv.num_nodes > 0 &&
+         args->csv.num_features > 0 && args->csv.steps_per_day > 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
-  bool parsed = false;
-  try {
-    parsed = ParseArgs(argc, argv, &args);
-  } catch (const std::logic_error&) {
-    // std::sto* throws invalid_argument / out_of_range on a bad number.
-    std::fprintf(stderr, "invalid numeric flag value\n");
-  }
-  if (!parsed) {
+  if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(
         stderr,
         "usage: %s <data.csv> --nodes N --features D --steps-per-day S\n"
@@ -184,19 +168,13 @@ int main(int argc, char** argv) {
               result.seconds_per_epoch);
 
   if (!args.save_path.empty()) {
-    tgcrn::Status status = model.SaveParameters(args.save_path);
-    if (status.ok()) {
-      // The scaler footer lets tgcrn_serve de-normalize with the exact
-      // training statistics instead of trusting the operator to re-fit
-      // them from the same CSV (docs/SERVING.md "Checkpoint format").
-      status = tgcrn::data::AppendScalerFooter(args.save_path,
-                                               dataset.scaler());
-    }
+    const tgcrn::Status status = tgcrn::core::SaveCheckpoint(
+        args.save_path, model, dataset.scaler());
     if (!status.ok()) {
       std::fprintf(stderr, "save failed: %s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("checkpoint written to %s (parameters + scaler)\n",
+    std::printf("checkpoint written to %s (config + parameters + scaler)\n",
                 args.save_path.c_str());
   }
   return 0;
