@@ -518,6 +518,45 @@ void BM_TagslBuildGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_TagslBuildGraph)->Arg(20)->Arg(64);
 
+// The exact top-k selection stage of the sparse path's graph build
+// (TagSL::BuildSparseGraph, no autograd) at the city-sparse shape: B = 4,
+// C = 2, d_nu = 8, d_tau = 4, k = 16, one thread. Each iteration's time is
+// the tagsl.SelectTopK profiler scope alone, so the O(N*k) kept-edge
+// recompute that follows the scan is excluded.
+void BM_TagslSelectTopK(benchmark::State& state) {
+  common::ScopedNumThreads threads(1);
+  const int64_t n = state.range(0), b = 4, k = 16;
+  Rng rng(8);
+  core::DiscreteTimeEmbedding encoder(18, 4, &rng);
+  core::TagSL::Options options;
+  options.num_nodes = n;
+  options.node_dim = 8;
+  core::TagSL tagsl(options, &encoder, &rng);
+  ag::Variable x(Tensor::RandUniform({b, n, 2}, -1, 1, &rng));
+  const std::vector<int64_t> slots = {3, 7, 11, 15}, prev = {2, 6, 10, 14};
+  ag::NoGradGuard no_grad;
+  obs::ProfOptions prof;
+  prof.enabled = true;
+  prof.counters = false;
+  obs::StartProfiling(prof);
+  for (auto _ : state) {
+    obs::ResetProfile();
+    benchmark::DoNotOptimize(tagsl.BuildSparseGraph(x, slots, prev, k));
+    double seconds = 0.0;
+    for (const auto& node : obs::CollectProfReport().nodes) {
+      if (node.name == "tagsl.SelectTopK") seconds += node.inclusive_seconds;
+    }
+    state.SetIterationTime(seconds);
+  }
+  obs::StopProfiling();
+  StampIsa(state, static_cast<double>(b) * n * n * (2.0 * 8 + 2.0 * 2 + 4.0));
+}
+BENCHMARK(BM_TagslSelectTopK)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_GcgruStep(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(7);

@@ -39,6 +39,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/tgcrn.h"
@@ -68,39 +69,29 @@ struct Args {
   int threads = 0;
   std::string report_path;
   std::string access_log_path;
-  bool require_zero_alloc = false;
+  int require_zero_alloc = 0;  // nonzero: fail on steady allocations
 };
 
 bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--entities") args->entities = std::stoll(value);
-    else if (flag == "--warm-steps") args->warm_steps = std::stoll(value);
-    else if (flag == "--requests") args->requests = std::stoll(value);
-    else if (flag == "--forecast-every") {
-      args->forecast_every = std::stoll(value);
-    } else if (flag == "--rate") args->rate = std::stod(value);
-    else if (flag == "--nodes") args->nodes = std::stoll(value);
-    else if (flag == "--hidden") args->hidden = std::stoll(value);
-    else if (flag == "--horizon") args->horizon = std::stoll(value);
-    else if (flag == "--steps-per-day") {
-      args->steps_per_day = std::stoll(value);
-    } else if (flag == "--topk") args->topk = std::stoll(value);
-    else if (flag == "--batch-max") args->batch_max = std::stoll(value);
-    else if (flag == "--seed") args->seed = std::stoull(value);
-    else if (flag == "--threads") args->threads = std::stoi(value);
-    else if (flag == "--report") args->report_path = value;
-    else if (flag == "--access-log") args->access_log_path = value;
-    else if (flag == "--require-zero-alloc") {
-      args->require_zero_alloc = value != "0";
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return false;
-    }
-  }
-  return args->entities > 0 && args->requests > 0 &&
-         args->forecast_every > 1 && args->rate > 0.0;
+  tgcrn::Flags flags;
+  flags.Add("--entities", &args->entities)
+      .Add("--warm-steps", &args->warm_steps)
+      .Add("--requests", &args->requests)
+      .Add("--forecast-every", &args->forecast_every)
+      .Add("--rate", &args->rate)
+      .Add("--nodes", &args->nodes)
+      .Add("--hidden", &args->hidden)
+      .Add("--horizon", &args->horizon)
+      .Add("--steps-per-day", &args->steps_per_day)
+      .Add("--topk", &args->topk)
+      .Add("--batch-max", &args->batch_max)
+      .Add("--seed", &args->seed)
+      .Add("--threads", &args->threads)
+      .Add("--report", &args->report_path)
+      .Add("--access-log", &args->access_log_path)
+      .Add("--require-zero-alloc", &args->require_zero_alloc);
+  return flags.Parse(argc, argv, 1) && args->entities > 0 &&
+         args->requests > 0 && args->forecast_every > 1 && args->rate > 0.0;
 }
 
 struct Client {
@@ -505,7 +496,7 @@ int main(int argc, char** argv) {
         args.access_log_path.c_str(), static_cast<long long>(served));
   }
 
-  if (args.require_zero_alloc && alloc_delta != 0) {
+  if (args.require_zero_alloc != 0 && alloc_delta != 0) {
     std::fprintf(stderr,
                  "FAIL: %lld tensor heap allocations in steady state "
                  "(expected 0)\n",

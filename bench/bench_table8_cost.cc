@@ -237,15 +237,20 @@ void Run() {
                 static_cast<long long>(k));
     // "select s" splits out the exact-top-k selection scan
     // (tagsl.SelectTopK inclusive time): it is the only O(N^2) piece of
-    // the sparse path, and it carries no autograd state. The last column
-    // is the linearity check on everything else — the learned O(N*k)
-    // compute — and should stay roughly flat down the sparse rows.
+    // the sparse path, and it carries no autograd state. It is wall clock:
+    // only the dispatching thread's scope counts, not the copies that
+    // pool helpers file under root -> "worker" -> tagsl.SelectTopK. The
+    // last column is the linearity check on everything else — the
+    // learned O(N*k) compute — and should stay roughly flat down the
+    // sparse rows.
     TablePrinter sparse_table({"N", "mode", "s/epoch", "select s",
                                "us/epoch per N*k (excl select)"});
     auto select_seconds = [](const obs::ProfReport& delta) {
       double seconds = 0.0;
       for (const auto& node : delta.nodes) {
-        if (node.name == "tagsl.SelectTopK") {
+        const bool helper_copy =
+            node.parent >= 0 && delta.nodes[node.parent].name == "worker";
+        if (node.name == "tagsl.SelectTopK" && !helper_copy) {
           seconds += node.inclusive_seconds;
         }
       }

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -231,6 +232,17 @@ Result<Checkpoint> LoadCheckpoint(const std::string& path) {
   Checkpoint checkpoint;
   checkpoint.scaler.SetMoments(std::move(means), std::move(stds));
 
+  // Every parameter float is stored, so a config implying more than the
+  // unread bytes can hold is refused before the model allocates them.
+  const double implied = TGCRN::ParameterCount(config);
+  if (implied > static_cast<double>(in.remaining() / sizeof(float))) {
+    char message[128];
+    std::snprintf(message, sizeof(message),
+                  "config's parameter shapes hold %.6g floats, more than "
+                  "the %zu bytes left in the checkpoint",
+                  implied, in.remaining());
+    return Status::InvalidArgument(message);
+  }
   // The model the config builds fixes every parameter shape (and so every
   // size); its initial values are all overwritten.
   Rng init_rng(0);

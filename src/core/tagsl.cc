@@ -5,13 +5,16 @@
 #include <cmath>
 #include <iterator>
 #include <memory>
-#include <numeric>
 
+#include "common/cpu_features.h"
 #include "common/thread_pool.h"
 #include "nn/init.h"
 #include "obs/health.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
+#include "tensor/buffer_pool.h"
+#include "tensor/kernels/gemm.h"
+#include "tensor/kernels/vmath.h"
 
 namespace tgcrn {
 namespace core {
@@ -80,10 +83,43 @@ ag::Variable TagSL::BuildRawGraph(const ag::Variable& x_t,
 
 namespace {
 
-// Row-block height of the selection scan: bounds the dense score
-// temporaries to kSelectBlockRows x N floats regardless of N. Blocking
-// only moves loop boundaries, never accumulation order.
-constexpr int64_t kSelectBlockRows = 256;
+// Rows per selection tile. The batch-shared E_nu tile and one score tile
+// (2 x kSelectTileRows x N floats, 96 KiB at N = 1024) stay cache
+// resident while they are scored and scanned. Two GEMM register tiles
+// high; the row split never changes a score (gemm_rows is independent of
+// row-block phase).
+constexpr int64_t kSelectTileRows = 2 * gemm::kMr;
+// Score elements (tile rows x N x batch) per ParallelFor chunk: small
+// graphs, e.g. the N = 32 serving models, select on the calling thread.
+constexpr int64_t kSelectGrainElems = 65536;
+
+// Turns one tile of `len` Eq 6 scores `a_nu` into the relu'd raw scores
+// of Eq 9 for one batch item, in place in `score`, which holds the Eq 8
+// inner products <x_i, x_j> on entry when use_pdf. Each step is a
+// separately rounded operation in the order of the dense path's tensor
+// ops (this file is built with -ffp-contract=off), and vmath is
+// lanewise, so the scores are bit-identical to BuildRawGraph's at each
+// ISA. Adding eta = 0 without use_time can only flip the sign of a zero,
+// which relu erases.
+void ClipTileScores(const float* a_nu, float eta, bool use_pdf,
+                    float pdf_scale, float alpha,
+                    const vmath::internal::Kernels& vmath_kernels,
+                    int64_t len, float* score) {
+  if (!use_pdf) {
+    for (int64_t i = 0; i < len; ++i) {
+      const float v = a_nu[i] + eta;
+      score[i] = v > 0.0f ? v : 0.0f;
+    }
+    return;
+  }
+  for (int64_t i = 0; i < len; ++i) score[i] *= pdf_scale;
+  vmath_kernels.tanh_n(score, score, len);
+  vmath_kernels.sigmoid_n(score, score, len);
+  for (int64_t i = 0; i < len; ++i) {
+    const float v = (score[i] * alpha + 1.0f) * (a_nu[i] + eta);
+    score[i] = v > 0.0f ? v : 0.0f;
+  }
+}
 
 }  // namespace
 
@@ -95,8 +131,8 @@ ag::SparseGraph TagSL::BuildSparseGraph(
   TGCRN_CHECK_EQ(x_t.size(1), n);
   const int64_t kept = std::min<int64_t>(std::max<int64_t>(k, 1), n);
   const int64_t nnz = n * kept;
-  const float pdf_scale =
-      1.0f / std::sqrt(static_cast<float>(x_t.size(2)));
+  const int64_t channels = x_t.size(2);
+  const float pdf_scale = 1.0f / std::sqrt(static_cast<float>(channels));
 
   // Trend factor eta_t (Eq 7), shared by both stages: its value drives the
   // selection ranking, and the same Variable joins the kept-edge logits so
@@ -121,63 +157,81 @@ ag::SparseGraph TagSL::BuildSparseGraph(
   for (int64_t s = 0; s < nnz; ++s) index->slot_rows[s] = s / kept;
   index->col_ids.resize(batch * nnz);
   {
-    ag::NoGradGuard no_grad;
     TGCRN_TRACE_SCOPE("tagsl.SelectTopK");
+    const int64_t d_nu = options_.node_dim;
+    const bool use_pdf = options_.use_pdf;
     // Shape-only analytic cost: one raw-score recompute per entry (the
-    // d_nu-dot is hoisted per block, the C-dot runs per batch item) plus
-    // the selection scan.
+    // d_nu-dot is hoisted per tile, the C-dot runs per batch item) plus
+    // the selection scan. Score tiles never leave cache, so the logical
+    // traffic is the operands and the kept ids.
     obs::RecordKernelCost(
         "tagsl.SelectTopK",
         static_cast<double>(batch) * static_cast<double>(n) *
             static_cast<double>(n) *
-            (2.0 * static_cast<double>(options_.node_dim) +
-             (options_.use_pdf ? 2.0 * static_cast<double>(x_t.size(2))
-                               : 0.0) +
-             4.0),
-        4.0 * static_cast<double>(batch) * static_cast<double>(n) *
-                static_cast<double>(n) +
+            (2.0 * static_cast<double>(d_nu) +
+             (use_pdf ? 2.0 * static_cast<double>(channels) : 0.0) + 4.0),
+        4.0 * static_cast<double>(n) *
+                (static_cast<double>(d_nu) +
+                 static_cast<double>(batch) * static_cast<double>(channels)) +
             8.0 * static_cast<double>(batch) * static_cast<double>(nnz));
-    const Tensor node_embed = node_embedding_.value();  // [N, d_nu]
-    const Tensor x = x_t.value();                       // [B, N, C]
+    const common::SimdIsa isa = common::ActiveSimdIsa();
+    const gemm::Kernels& gemm_kernels = gemm::GetKernels(isa);
+    const vmath::internal::Kernels& vmath_kernels =
+        vmath::GetVmathKernels(isa);
+    const float* embed = node_embedding_.value().data();  // [N, d_nu]
+    const float* x = x_t.value().data();                  // [B, N, C]
     const float* eta_data =
         options_.use_time ? eta.value().data() : nullptr;
-    const int64_t topk_grain =
-        std::max<int64_t>(1, int64_t{16384} / std::max<int64_t>(1, n));
-    for (int64_t r0 = 0; r0 < n; r0 += kSelectBlockRows) {
-      const int64_t r1 = std::min<int64_t>(n, r0 + kSelectBlockRows);
-      // Eq 6 block: <E_nu[r0:r1], E_nu^T>, batch-independent.
-      const Tensor a_nu_blk =
-          node_embed.Slice(0, r0, r1).MatmulTransposeB(node_embed);
-      for (int64_t b = 0; b < batch; ++b) {
-        Tensor score = a_nu_blk;
-        if (eta_data != nullptr) score = score.AddScalar(eta_data[b]);
-        if (options_.use_pdf) {
-          const Tensor xb = x.Slice(0, b, b + 1).Squeeze(0);  // [N, C]
-          const Tensor gate = xb.Slice(0, r0, r1)
-                                  .MatmulTransposeB(xb)
-                                  .MulScalar(pdf_scale)
-                                  .Tanh()
-                                  .Sigmoid()
-                                  .MulScalar(options_.alpha)
-                                  .AddScalar(1.0f);
-          score = gate.Mul(score);
-        }
-        // Relu ties (clipped entries) break on the lower column id, the
-        // same total order graph::SparsifyTopK applies to the dense
-        // softmax; softmax is strictly monotone, so the kept sets match.
-        const Tensor clipped = score.Relu();
-        const float* rows = clipped.data();
-        int64_t* ids = index->col_ids.data() + b * nnz;
-        common::ParallelFor(
-            0, r1 - r0, topk_grain, [&](int64_t lo, int64_t hi) {
-              std::vector<int64_t> scratch(n);
-              for (int64_t r = lo; r < hi; ++r) {
-                graph::TopKRow(rows + r * n, n, kept,
-                               ids + (r0 + r) * kept, scratch.data());
-              }
-            });
-      }
+
+    // E_nu^T once per call, each x_b^T once per batch item.
+    const int64_t packed_e_count = gemm::PackedBCount(d_nu, n);
+    const int64_t packed_x_count =
+        use_pdf ? gemm::PackedBCount(channels, n) : 0;
+    const auto packed = TensorBufferPool::Global().AcquireForOverwrite(
+        packed_e_count + batch * packed_x_count);
+    float* packed_e = packed->data();
+    float* packed_x = packed_e + packed_e_count;
+    gemm_kernels.pack_b(embed, d_nu, n, /*transpose_b=*/true, packed_e);
+    for (int64_t b = 0; use_pdf && b < batch; ++b) {
+      gemm_kernels.pack_b(x + b * n * channels, channels, n,
+                          /*transpose_b=*/true, packed_x + b * packed_x_count);
     }
+
+    const int64_t num_tiles = (n + kSelectTileRows - 1) / kSelectTileRows;
+    const int64_t tile_grain = std::max<int64_t>(
+        1, kSelectGrainElems / (kSelectTileRows * n * batch));
+    common::ParallelFor(0, num_tiles, tile_grain, [&](int64_t t0,
+                                                      int64_t t1) {
+      const auto scratch = TensorBufferPool::Global().AcquireForOverwrite(
+          2 * kSelectTileRows * n);
+      float* a_nu = scratch->data();
+      float* score = a_nu + kSelectTileRows * n;
+      for (int64_t t = t0; t < t1; ++t) {
+        const int64_t r0 = t * kSelectTileRows;
+        const int64_t rows = std::min(kSelectTileRows, n - r0);
+        // Eq 6 tile: <E_nu[r0:r0+rows], E_nu^T>, batch-independent.
+        gemm_kernels.gemm_rows(embed + r0 * d_nu, d_nu, 1, packed_e, 0, rows,
+                               d_nu, n, a_nu);
+        for (int64_t b = 0; b < batch; ++b) {
+          if (use_pdf) {
+            // Eq 8 tile: <x_b[rows], x_b^T>.
+            gemm_kernels.gemm_rows(x + (b * n + r0) * channels, channels, 1,
+                                   packed_x + b * packed_x_count, 0, rows,
+                                   channels, n, score);
+          }
+          ClipTileScores(a_nu, eta_data != nullptr ? eta_data[b] : 0.0f,
+                         use_pdf, pdf_scale, options_.alpha, vmath_kernels,
+                         rows * n, score);
+          // Relu ties (clipped entries) break on the lower column id, the
+          // same total order graph::SparsifyTopK applies to the dense
+          // softmax; softmax is strictly monotone, so the kept sets match.
+          int64_t* ids = index->col_ids.data() + b * nnz + r0 * kept;
+          for (int64_t r = 0; r < rows; ++r) {
+            graph::TopKRow(score + r * n, n, kept, ids + r * kept);
+          }
+        }
+      }
+    });
   }
 
   // --- Stage 2: differentiable kept-edge logits ---------------------------
@@ -327,18 +381,10 @@ obs::GraphHealthReport TagSL::ComputeGraphHealth(
   const Tensor mean_adj = a_t.Mean(0);  // [N, N]
   const float* mean_data = mean_adj.data();
   std::vector<std::vector<int64_t>> topk_ids(static_cast<size_t>(n));
-  std::vector<int64_t> order(static_cast<size_t>(n));
   for (int64_t r = 0; r < n; ++r) {
-    const float* row = mean_data + r * n;
-    std::iota(order.begin(), order.end(), int64_t{0});
-    std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                      [row](int64_t a, int64_t b) {
-                        if (row[a] != row[b]) return row[a] > row[b];
-                        return a < b;
-                      });
     auto& ids = topk_ids[static_cast<size_t>(r)];
-    ids.assign(order.begin(), order.begin() + k);
-    std::sort(ids.begin(), ids.end());
+    ids.resize(static_cast<size_t>(k));
+    graph::TopKRow(mean_data + r * n, n, k, ids.data());
   }
   if (state != nullptr &&
       static_cast<int64_t>(state->topk_ids.size()) == n) {

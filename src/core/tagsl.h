@@ -67,8 +67,10 @@ class TagSL : public nn::Module {
                              const std::vector<int64_t>& prev_slots) const;
 
   // Sparse top-k variant of BuildGraph (the TGCRN_GRAPH_TOPK execution
-  // path). Two stages: (1) an exact no-grad selection pass scans the raw
-  // scores in fixed row blocks and keeps each row's k largest relu'd
+  // path). Two stages: (1) an exact no-grad selection pass computes the
+  // raw scores in small cache-resident row tiles (E_nu E_nu^T once per
+  // tile, x x^T per batch item, the Eq 8-9 gate and relu in place) and
+  // streams each row into graph::TopKRow, keeping its k largest relu'd
   // logits (value-descending, index-ascending tie-breaks — the same
   // ranking graph::SparsifyTopK applies to the dense softmax, since
   // softmax is strictly monotone); (2) only the B*N*k kept-edge logits are
@@ -77,9 +79,10 @@ class TagSL : public nn::Module {
   // gradients reach E_nu, the time encoder and x_t through the kept edges
   // and dropped edges get exactly zero gradient (the sparse-training
   // contract, autograd/sparse_ops.h). Autograd memory and compute are
-  // O(B*N*k); only the selection scan (a low-constant, gradient-free
-  // pass) remains O(N^2). All-zero rows degrade to uniform over the kept
-  // set, matching graph::SparsifyTopK's fallback.
+  // O(B*N*k); only the selection scan (gradient-free, with O(tile*N)
+  // scratch and no N^2 temporaries) remains O(N^2). All-zero rows
+  // degrade to uniform over the kept set, matching graph::SparsifyTopK's
+  // fallback.
   ag::SparseGraph BuildSparseGraph(const ag::Variable& x_t,
                                    const std::vector<int64_t>& slots,
                                    const std::vector<int64_t>& prev_slots,

@@ -1,6 +1,8 @@
 // Copyright 2026 TGCRN Reproduction Authors
 #include "core/tgcrn.h"
 
+#include <cmath>
+
 #include "obs/health.h"
 
 namespace tgcrn {
@@ -65,6 +67,49 @@ TGCRN::TGCRN(const TGCRNConfig& config, Rng* rng)
         config_.hidden_dim, config_.horizon * config_.output_dim, rng);
     RegisterModule("direct_head", direct_head_.get());
   }
+}
+
+double TGCRN::ParameterCount(const TGCRNConfig& config) {
+  // Mirrors the constructor above, module by module.
+  const bool uses_time = config.use_tagsl;
+  const double nodes = static_cast<double>(config.num_nodes);
+  const double hidden = static_cast<double>(config.hidden_dim);
+  const double node_dim = static_cast<double>(config.node_embed_dim);
+  const double time_dim =
+      uses_time ? static_cast<double>(config.time_embed_dim) : 0.0;
+  const double in = static_cast<double>(config.input_dim);
+  const double out = static_cast<double>(config.output_dim);
+  const double layers = static_cast<double>(config.num_layers);
+  double count = 0.0;
+  if (uses_time) {
+    switch (config.time_encoder) {
+      case TGCRNConfig::TimeEncoderKind::kDiscrete:
+        count += static_cast<double>(config.steps_per_day) * time_dim;
+        break;
+      case TGCRNConfig::TimeEncoderKind::kTime2vec:
+        count += 2.0 * time_dim;  // freq, phase
+        break;
+      case TGCRNConfig::TimeEncoderKind::kContinuous:
+        count += std::floor(time_dim / 2.0);  // freq
+        break;
+    }
+  }
+  count += nodes * node_dim;  // TagSL E_nu
+  // One GCGRU cell: gate and candidate pools (weights and biases) over
+  // the node and time embeddings, for [v ; A v] inputs of 2 * (in + H).
+  const auto cell = [&](double cell_in) {
+    const double cat = 2.0 * (cell_in + hidden);
+    return (node_dim + time_dim) * 3.0 * hidden * (cat + 1.0);
+  };
+  count += cell(in) + (layers - 1.0) * cell(hidden);
+  if (config.use_encoder_decoder) {
+    count += cell(out) + (layers - 1.0) * cell(hidden);
+    count += hidden * out + out;  // output layer
+  } else {
+    const double head = static_cast<double>(config.horizon) * out;
+    count += hidden * head + head;  // direct head
+  }
+  return count;
 }
 
 std::vector<int64_t> TGCRN::SlotColumn(

@@ -86,6 +86,11 @@ class TGCRN : public ForecastModel {
  public:
   TGCRN(const TGCRNConfig& config, Rng* rng);
 
+  // Number of parameter floats a TGCRN built from `config` holds, without
+  // building it. Computed in double so a hostile config cannot overflow;
+  // the checkpoint loader bounds it by the file size before construction.
+  static double ParameterCount(const TGCRNConfig& config);
+
   ag::Variable Forward(const data::Batch& batch) override;
 
   // --- Step-level inference API (the model/runtime split, DESIGN §15) ---

@@ -119,7 +119,6 @@ void SimulateNeighborLimited(const MetroSimConfig& config, Rng* rng,
       std::max<int64_t>(1, int64_t{16384} / std::max<int64_t>(1, n));
   common::ParallelFor(0, n, row_grain, [&](int64_t i0, int64_t i1) {
     std::vector<float> row(n);
-    std::vector<int64_t> scratch(n);
     for (int64_t i = i0; i < i1; ++i) {
       for (int64_t j = 0; j < n; ++j) {
         if (i == j) {
@@ -133,7 +132,7 @@ void SimulateNeighborLimited(const MetroSimConfig& config, Rng* rng,
       }
       // Same deterministic (value desc, index asc) selection as the
       // learned-graph sparsifier; kept ids come out ascending.
-      graph::TopKRow(row.data(), n, m, nbr.data() + i * m, scratch.data());
+      graph::TopKRow(row.data(), n, m, nbr.data() + i * m);
       for (int64_t s = 0; s < m; ++s) {
         const int64_t j = nbr[i * m + s];
         const float dx = xs[i] - xs[j];

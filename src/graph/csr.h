@@ -74,13 +74,16 @@ struct CsrBatch {
   bool defined() const { return index != nullptr; }
 };
 
-// Writes the column ids of the k largest entries of `row` (length n) into
-// out[0..k), ranked by (value descending, index ascending) and then sorted
-// ascending by index. `scratch` must hold at least n int64s. The selection
-// is a pure function of the row contents (see file header), so it is
+// Writes the column ids of the min(k, n) largest entries of `row`
+// (length n < 2^32, no NaN) into `out`, ranked by (value descending,
+// index ascending) and then sorted ascending by index. One streaming
+// pass: a bounded heap, kept in `out` itself, holds the first k columns,
+// and a later column enters only if it beats the worst kept value
+// strictly (columns arrive in ascending order, so a tie never displaces
+// an earlier id). No scratch beyond `out`. The selection is a pure
+// function of the row contents (see file header), so it is
 // bitwise-reproducible across thread counts and ISAs.
-void TopKRow(const float* row, int64_t n, int64_t k, int64_t* out,
-             int64_t* scratch);
+void TopKRow(const float* row, int64_t n, int64_t k, int64_t* out);
 
 // Sparsifies a dense batch of row-distributions [B, N, N] (or one [N, N]
 // matrix, treated as batch 1) to top-k CSR form, renormalizing each row's

@@ -8,6 +8,7 @@
 // they must reach the parser behind it.
 #include "core/checkpoint.h"
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -17,6 +18,8 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -290,6 +293,34 @@ TEST_F(CheckpointFixture, MissingFileIsRejected) {
   EXPECT_EQ(status.code(), StatusCode::kIOError);
 }
 
+TEST(CheckpointBoundTest, ParameterCountMatchesBuiltModels) {
+  using Kind = core::TGCRNConfig::TimeEncoderKind;
+  std::vector<core::TGCRNConfig> configs(6);
+  configs[1].num_layers = 3;
+  configs[1].input_dim = 3;
+  configs[1].output_dim = 1;
+  configs[2].use_tagsl = false;
+  configs[3].time_encoder = Kind::kTime2vec;
+  configs[3].use_encoder_decoder = false;
+  configs[3].horizon = 5;
+  configs[4].time_encoder = Kind::kContinuous;
+  configs[4].time_embed_dim = 6;
+  configs[5].num_layers = 1;
+  configs[5].use_encoder_decoder = false;
+  configs[5].use_tagsl = false;
+  for (core::TGCRNConfig& config : configs) {
+    config.num_nodes = 5;
+    Rng rng(3);
+    core::TGCRN model(config, &rng);
+    int64_t floats = 0;
+    for (const ag::Variable& p : model.Parameters()) {
+      floats += p.value().numel();
+    }
+    EXPECT_EQ(core::TGCRN::ParameterCount(config),
+              static_cast<double>(floats));
+  }
+}
+
 // ------------------------------------------------------------------ fuzz --
 
 class CheckpointFuzz : public ::testing::Test {
@@ -393,6 +424,33 @@ TEST_F(CheckpointFuzz, LengthFieldMutationsAreRejected) {
   for (const uint64_t v : {uint64_t{0}, uint64_t{2}, huge, all}) {
     EXPECT_FALSE(LoadBytes(Patched(*bytes_, kScalerOffset, v)).ok()) << v;
   }
+}
+
+// Peak resident set of this process, in bytes.
+int64_t PeakRssBytes() {
+  struct rusage usage;
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<int64_t>(usage.ru_maxrss) * 1024;
+}
+
+TEST_F(CheckpointFuzz, OversizedConfigIsRejectedBeforeConstruction) {
+  // CRC-valid files whose configs imply models far larger than the file:
+  // 2^28 nodes alone would allocate a 2 GiB node embedding. The loader
+  // must refuse them from the config, before building anything.
+  const int64_t before = PeakRssBytes();
+  const int64_t huge = int64_t{1} << 28;
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  for (const auto& [offset, value] :
+       {std::pair{kNumNodesOffset, huge}, std::pair{kNumNodesOffset, max},
+        std::pair{kHiddenDimOffset, huge}, std::pair{kHiddenDimOffset, max},
+        std::pair{kNumNodesOffset + 5 * 8, huge}}) {
+    const Status status = LoadBytes(Patched(*bytes_, offset, value));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("bytes left in the checkpoint"),
+              std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_LT(PeakRssBytes() - before, int64_t{64} << 20);
 }
 
 TEST_F(CheckpointFuzz, HeaderAndConfigViolationsAreRejected) {

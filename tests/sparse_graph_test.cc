@@ -10,6 +10,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -49,22 +50,138 @@ Tensor RandomAdjacency(int64_t batch, int64_t n, uint64_t seed) {
   return ag::Softmax(logits, -1).value();
 }
 
+// --- Selection oracles -----------------------------------------------------
+
+// The sort-based selector the streaming TopKRow replaced: nth_element over
+// all n ids under (value desc, index asc), then the kept ids ascending.
+std::vector<int64_t> ReferenceTopKRow(const float* row, int64_t n,
+                                      int64_t k) {
+  k = std::min(k, n);
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  const auto better = [row](int64_t a, int64_t b) {
+    if (row[a] != row[b]) return row[a] > row[b];
+    return a < b;
+  };
+  if (k < n) std::nth_element(order.begin(), order.begin() + k - 1,
+                              order.end(), better);
+  order.resize(static_cast<size_t>(k));
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+std::vector<int64_t> TopKRowIds(const std::vector<float>& row, int64_t k) {
+  const int64_t n = static_cast<int64_t>(row.size());
+  std::vector<int64_t> out(static_cast<size_t>(std::min(k, n)));
+  graph::TopKRow(row.data(), n, k, out.data());
+  return out;
+}
+
+// The block pipeline the fused selection scan replaced: per 256-row block
+// and batch item, whole-tensor ops build the raw score block (Eq 6-9),
+// relu it, and select each row with the reference selector. Returns the
+// kept column ids in CsrIndex::col_ids layout.
+std::vector<int64_t> ReferenceSelectTopK(const core::TagSL& tagsl,
+                                         const core::TimeEncoder* encoder,
+                                         const Variable& x_t,
+                                         const std::vector<int64_t>& slots,
+                                         const std::vector<int64_t>& prev,
+                                         int64_t k) {
+  constexpr int64_t kBlockRows = 256;
+  const core::TagSL::Options& options = tagsl.options();
+  const int64_t batch = x_t.size(0);
+  const int64_t n = options.num_nodes;
+  const int64_t kept = std::min<int64_t>(std::max<int64_t>(k, 1), n);
+  const int64_t nnz = n * kept;
+  const float pdf_scale =
+      1.0f / std::sqrt(static_cast<float>(x_t.size(2)));
+  ag::NoGradGuard no_grad;
+  Tensor eta;
+  if (options.use_time) {
+    eta = ag::MulScalar(ag::Sum(ag::Mul(encoder->Encode(slots),
+                                        encoder->Encode(prev)),
+                                1, /*keepdim=*/true),
+                        1.0f / static_cast<float>(encoder->dim()))
+              .value();
+  }
+  const Tensor node_embed = tagsl.node_embedding().value();
+  const Tensor x = x_t.value();
+  std::vector<int64_t> col_ids(static_cast<size_t>(batch * nnz));
+  for (int64_t r0 = 0; r0 < n; r0 += kBlockRows) {
+    const int64_t r1 = std::min<int64_t>(n, r0 + kBlockRows);
+    const Tensor a_nu_blk =
+        node_embed.Slice(0, r0, r1).MatmulTransposeB(node_embed);
+    for (int64_t b = 0; b < batch; ++b) {
+      Tensor score = a_nu_blk;
+      if (options.use_time) score = score.AddScalar(eta.flat(b));
+      if (options.use_pdf) {
+        const Tensor xb = x.Slice(0, b, b + 1).Squeeze(0);
+        const Tensor gate = xb.Slice(0, r0, r1)
+                                .MatmulTransposeB(xb)
+                                .MulScalar(pdf_scale)
+                                .Tanh()
+                                .Sigmoid()
+                                .MulScalar(options.alpha)
+                                .AddScalar(1.0f);
+        score = gate.Mul(score);
+      }
+      const Tensor clipped = score.Relu();
+      for (int64_t r = r0; r < r1; ++r) {
+        const std::vector<int64_t> ids =
+            ReferenceTopKRow(clipped.data() + (r - r0) * n, n, kept);
+        std::copy(ids.begin(), ids.end(),
+                  col_ids.begin() + b * nnz + r * kept);
+      }
+    }
+  }
+  return col_ids;
+}
+
 // --- CSR structure ----------------------------------------------------------
 
 TEST(TopKRowTest, TieBreaksOnLowerIndex) {
   const std::vector<float> row = {1.0f, 3.0f, 3.0f, 0.0f, 3.0f};
-  std::vector<int64_t> scratch(row.size());
-  std::vector<int64_t> out(4);
-  graph::TopKRow(row.data(), 5, 2, out.data(), scratch.data());
-  EXPECT_EQ(out[0], 1);  // the tied 3.0s keep the lowest column ids
-  EXPECT_EQ(out[1], 2);
-  graph::TopKRow(row.data(), 5, 4, out.data(), scratch.data());
-  EXPECT_EQ(out, (std::vector<int64_t>{0, 1, 2, 4}));
-
+  EXPECT_EQ(TopKRowIds(row, 2), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(TopKRowIds(row, 4), (std::vector<int64_t>{0, 1, 2, 4}));
   const std::vector<float> flat(6, 0.5f);  // fully tied row
-  std::vector<int64_t> scratch2(6), out2(3);
-  graph::TopKRow(flat.data(), 6, 3, out2.data(), scratch2.data());
-  EXPECT_EQ(out2, (std::vector<int64_t>{0, 1, 2}));
+  EXPECT_EQ(TopKRowIds(flat, 3), (std::vector<int64_t>{0, 1, 2}));
+}
+
+TEST(TopKRowTest, MatchesSortOracleOnAdversarialRows) {
+  Rng rng(71);
+  // Row generators: random, heavily tied, all zero, signed-zero mixes
+  // (-0.0 == +0.0, so they tie and break on the index), ascending (every
+  // column displaces the heap root), descending, and relu-clipped.
+  const std::vector<std::function<float(int64_t, int64_t)>> rows = {
+      [&](int64_t, int64_t) { return rng.Uniform(-1.0f, 1.0f); },
+      [&](int64_t, int64_t) {
+        return static_cast<float>(rng.NextUint64() % 3);
+      },
+      [](int64_t, int64_t) { return 0.0f; },
+      [&](int64_t, int64_t) {
+        const uint64_t r = rng.NextUint64() % 3;
+        return r == 0 ? -0.0f : r == 1 ? 0.0f : 1.0f;
+      },
+      [](int64_t j, int64_t) { return static_cast<float>(j); },
+      [](int64_t j, int64_t n) { return static_cast<float>(n - j); },
+      [&](int64_t, int64_t) {
+        return std::max(0.0f, rng.Uniform(-1.0f, 0.2f));
+      },
+  };
+  for (const int64_t n : {1, 2, 7, 16, 33, 257}) {
+    for (const int64_t k : {int64_t{1}, int64_t{2}, int64_t{5}, n - 1, n,
+                            n + 3}) {
+      if (k < 1) continue;
+      for (size_t g = 0; g < rows.size(); ++g) {
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<float> row(static_cast<size_t>(n));
+          for (int64_t j = 0; j < n; ++j) row[j] = rows[g](j, n);
+          ASSERT_EQ(TopKRowIds(row, k), ReferenceTopKRow(row.data(), n, k))
+              << "n=" << n << " k=" << k << " generator " << g;
+        }
+      }
+    }
+  }
 }
 
 TEST(SparsifyTopKTest, RoundTripKeepsRenormalizedTopK) {
@@ -81,9 +198,9 @@ TEST(SparsifyTopKTest, RoundTripKeepsRenormalizedTopK) {
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t r = 0; r < n; ++r) {
       // Reference: renormalize the k largest entries of the row.
-      std::vector<int64_t> ids(k), scratch(n);
+      std::vector<int64_t> ids(k);
       const float* row = src + (b * n + r) * n;
-      graph::TopKRow(row, n, k, ids.data(), scratch.data());
+      graph::TopKRow(row, n, k, ids.data());
       float sum = 0.0f;
       for (int64_t s = 0; s < k; ++s) sum += row[ids[s]];
       float row_sum = 0.0f;
@@ -275,6 +392,48 @@ TEST(TagSLSparseTest, MatchesDenseTopKSelectionAndValues) {
   for (int64_t i = 0; i < got.numel(); ++i) {
     ASSERT_NEAR(got.flat(i), reference.values.flat(i), 1e-5f)
         << "kept-edge value " << i;
+  }
+}
+
+TEST(TagSLSparseTest, FusedSelectionMatchesBlockOracleBitwise) {
+  // N not a multiple of the selection tile; every ISA and pool width must
+  // keep exactly the oracle's columns.
+  struct Case {
+    int64_t n;
+    bool use_time;
+    bool use_pdf;
+  };
+  for (const Case& tc : {Case{37, true, true}, Case{300, true, true},
+                         Case{1024, true, true}, Case{37, false, true},
+                         Case{37, true, false}, Case{37, false, false}}) {
+    const int64_t batch = 2, c = 2, k = 16, spd = 24, d_tau = 4;
+    Rng rng(81 + tc.n);
+    core::DiscreteTimeEmbedding encoder(spd, d_tau, &rng);
+    core::TagSL::Options options;
+    options.num_nodes = tc.n;
+    options.node_dim = 8;
+    options.use_time = tc.use_time;
+    options.use_pdf = tc.use_pdf;
+    core::TagSL tagsl(options, tc.use_time ? &encoder : nullptr, &rng);
+    Rng data_rng(82 + tc.n);
+    Variable x(
+        Tensor::RandUniform({batch, tc.n, c}, -1.5f, 1.5f, &data_rng));
+    const std::vector<int64_t> slots = {5, 17};
+    const std::vector<int64_t> prev = {4, 16};
+    for (const auto isa : AvailableIsas()) {
+      common::ScopedSimdIsa pin(isa);
+      const std::vector<int64_t> expected =
+          ReferenceSelectTopK(tagsl, &encoder, x, slots, prev, k);
+      for (const int threads : {1, 2, 4, 8}) {
+        ScopedNumThreads guard(threads);
+        const ag::SparseGraph sparse =
+            tagsl.BuildSparseGraph(x, slots, prev, k);
+        ASSERT_EQ(sparse.index->col_ids, expected)
+            << "N=" << tc.n << " time=" << tc.use_time
+            << " pdf=" << tc.use_pdf << " isa="
+            << common::SimdIsaName(isa) << " threads=" << threads;
+      }
+    }
   }
 }
 
