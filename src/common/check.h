@@ -13,10 +13,11 @@
 namespace tgcrn {
 namespace internal {
 
-// Best-effort flush of the observability sinks (trace rings, metric-dump
-// target) before abort() — which skips atexit handlers, i.e. exactly when
-// a trace is most needed. Defined in obs/trace.cc (every binary links
-// libtgcrn); reentrancy-guarded and safe when neither sink is active.
+// Best-effort flush of the observability sinks (profile file, metric-dump
+// target, registered hooks) before abort() — which skips atexit handlers,
+// i.e. exactly when a snapshot is most needed. Defined in obs/trace.cc
+// (every binary links libtgcrn); reentrancy-guarded and safe when no sink
+// is active.
 void FlushObservabilityOnAbort();
 
 // Aborts the process after printing `msg` with source location context.

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -14,41 +13,18 @@
 #include <vector>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/trace.h"
 
 namespace tgcrn {
 namespace common {
 namespace {
 
 // Pool bookkeeping (see GetPoolStats). Plain relaxed atomics rather than
-// obs counters so the header-visible stats need no registry lookup; the
-// obs layer additionally gets busy/idle histograms below.
+// obs counters so the header-visible stats need no registry lookup.
 std::atomic<int64_t> g_parallel_for_calls{0};
 std::atomic<int64_t> g_serial_runs{0};
 std::atomic<int64_t> g_chunks_executed{0};
 std::atomic<int64_t> g_pool_tasks_executed{0};
-
-// Nanoseconds each worker spends running a claimed task vs waiting on the
-// queue. Observed per task pull, so the cost (two clock reads) is paid per
-// parallel job per worker, not per chunk.
-obs::Histogram* WorkerBusyHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("threadpool.worker_busy_ns");
-  return h;
-}
-obs::Histogram* WorkerIdleHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("threadpool.worker_idle_ns");
-  return h;
-}
-
-int64_t MonotonicNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Set while the current thread executes a ParallelFor chunk; nested
 // parallel calls observe it and run serially instead of re-entering the
@@ -79,11 +55,9 @@ struct Job {
 };
 
 void WorkOnJob(const std::shared_ptr<Job>& job, bool helper) {
-  // Trace-only span: the caller thread already sits inside the kernel's
-  // own profiler scope, so letting this span into the attribution tree
-  // would steal the kernel's exclusive time. Helpers instead attribute
-  // through WorkerAttributionScope (root -> "worker" -> kernel).
-  obs::ScopedSpan span("ParallelFor.worker", obs::internal::kScopeTraceBit);
+  // The caller thread already sits inside the kernel's own profiler
+  // scope; helpers attribute their chunks through WorkerAttributionScope
+  // (root -> "worker" -> kernel).
   obs::WorkerAttributionScope attribution(helper ? job->prof_attr : nullptr);
   while (true) {
     const int64_t c = job->next.fetch_add(1);
@@ -172,7 +146,6 @@ class ThreadPool {
   }
 
   void WorkerLoop() {
-    int64_t idle_since_ns = MonotonicNs();
     while (true) {
       std::function<void()> task;
       {
@@ -182,11 +155,7 @@ class ThreadPool {
         task = std::move(tasks_.front());
         tasks_.pop_front();
       }
-      const int64_t start_ns = MonotonicNs();
-      WorkerIdleHistogram()->Observe(start_ns - idle_since_ns);
       task();
-      idle_since_ns = MonotonicNs();
-      WorkerBusyHistogram()->Observe(idle_since_ns - start_ns);
       g_pool_tasks_executed.fetch_add(1, std::memory_order_relaxed);
     }
   }

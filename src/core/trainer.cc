@@ -150,7 +150,6 @@ TrainResult TrainAndEvaluate(ForecastModel* model,
     }
     obs::EpochReport epoch_report;
     epoch_report.epoch = epoch;
-    const bool health_sampled = health_monitor.ShouldSample(epoch);
     double loss_sum = 0.0;
     double grad_norm_sum = 0.0;
     double grad_norm_last = 0.0;
@@ -176,9 +175,10 @@ TrainResult TrainAndEvaluate(ForecastModel* model,
       // read before it ends.
       ag::StepArenaScope arena_step;
       ag::Variable loss;
-      // Activation taps sample the first training batch of each sampled
-      // epoch (one representative forward, not every batch).
-      const bool sampling_activations = health_sampled && batch_index == 0;
+      // Activation taps sample the first training batch of each epoch
+      // (one representative forward, not every batch).
+      const bool sampling_activations =
+          health_monitor.enabled() && batch_index == 0;
       if (sampling_activations) {
         health_monitor.BeginActivationSampling(global_step);
       }
@@ -240,7 +240,7 @@ TrainResult TrainAndEvaluate(ForecastModel* model,
     epoch_report.grad_norm_mean =
         batches.empty() ? 0.0
                         : grad_norm_sum / static_cast<double>(batches.size());
-    if (health_sampled) {
+    if (health_monitor.enabled()) {
       PhaseTimer timer(&epoch_report.phase_seconds, obs::kPhaseHealth);
       TGCRN_TRACE_SCOPE("train.health");
       epoch_report.has_health = true;

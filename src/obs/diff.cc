@@ -124,9 +124,8 @@ bool AccumulateProf(const RunReport& report, ProfReport* out) {
   return present;
 }
 
-// Shared between DiffReports (accumulated epoch blocks) and DiffProfiles
-// (standalone profile files): per-kernel invocations gate, instruction
-// totals gate when both sides measured them, cycles/IPC are informational.
+// Per-kernel invocations gate, instruction totals gate when both sides
+// measured them, cycles/IPC are informational.
 void AddProfRows(DiffBuilder* builder, const ProfReport& baseline,
                  const ProfReport& candidate, double acc_pct) {
   std::map<std::string, const ProfKernelReport*> base_kernels;
@@ -255,15 +254,6 @@ ReportDiffResult DiffReports(const RunReport& baseline,
     AddProfRows(&builder, baseline_prof, candidate_prof, acc_pct);
   }
 
-  return result;
-}
-
-ReportDiffResult DiffProfiles(const ProfReport& baseline,
-                              const ProfReport& candidate,
-                              const ReportDiffOptions& options) {
-  ReportDiffResult result;
-  DiffBuilder builder(&result);
-  AddProfRows(&builder, baseline, candidate, options.max_regress_pct);
   return result;
 }
 

@@ -14,15 +14,16 @@
 //  * Health counters (NaN/Inf elements, non-finite-gradient steps) gate on
 //    ANY increase — a new NaN is a regression at every threshold.
 //  * Learned-graph diagnostics are informational only (no natural order).
-//  * Profiler blocks (obs/prof.h): per-kernel invocation counts and total
-//    retired instructions are deterministic-ish cost proxies and gate on
-//    max_regress_pct (instructions only when both runs had perf counters);
-//    cycles and IPC are machine-dependent and informational only.
+//  * Profiler blocks (obs/prof.h), summed over the epochs of each run:
+//    per-kernel invocation counts and total retired instructions are
+//    deterministic-ish cost proxies and gate on max_regress_pct
+//    (instructions only when both runs had perf counters); cycles and IPC
+//    are machine-dependent and informational only.
 //  * A NaN candidate value for a gated metric with a finite baseline is
 //    always a regression (the run diverged).
 //
 // Comparisons are strict (delta > threshold), so a report diffed against
-// itself passes even at --max-regress-pct=0.
+// itself passes even at --max-regress-pct 0.
 //
 // Depends only on obs/report.h and std, like the rest of the first tier.
 #ifndef TGCRN_OBS_DIFF_H_
@@ -70,15 +71,6 @@ struct ReportDiffResult {
 ReportDiffResult DiffReports(const RunReport& baseline,
                              const RunReport& candidate,
                              const ReportDiffOptions& options);
-
-// Diffs two standalone profiler reports (e.g. the JSON files written by
-// TGCRN_PROF=path or `train_model --prof`) under the profiler gating rules
-// above. DiffReports applies the same rules to the accumulated per-epoch
-// "prof" blocks when both runs carried them; this entry point serves the
-// `tgcrn_prof diff` CLI, which sees profiles without a surrounding run.
-ReportDiffResult DiffProfiles(const ProfReport& baseline,
-                              const ProfReport& candidate,
-                              const ReportDiffOptions& options);
 
 }  // namespace obs
 }  // namespace tgcrn

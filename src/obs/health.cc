@@ -126,11 +126,6 @@ HealthOptions HealthOptions::FromEnv() {
   if (const char* v = std::getenv("TGCRN_HEALTH")) {
     options.enabled = v[0] != '\0' && std::strcmp(v, "0") != 0;
   }
-  if (const char* v = std::getenv("TGCRN_HEALTH_EVERY")) {
-    if (v[0] != '\0') {
-      options.every = std::max<int64_t>(1, std::atoll(v));
-    }
-  }
   if (const char* v = std::getenv("TGCRN_HEALTH_FATAL")) {
     options.fatal = v[0] != '\0' && std::strcmp(v, "0") != 0;
   }
@@ -172,10 +167,6 @@ HealthMonitor::HealthMonitor(const HealthOptions& options)
 HealthMonitor::~HealthMonitor() {
   // Defensive: never leave a dangling tap target behind.
   EndActivationSampling();
-}
-
-bool HealthMonitor::ShouldSample(int64_t epoch) const {
-  return options_.enabled && epoch % std::max<int64_t>(1, options_.every) == 0;
 }
 
 void HealthMonitor::Attach(const nn::Module& module) {

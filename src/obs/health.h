@@ -7,15 +7,15 @@
 // Three jobs:
 //
 //  * Per-module statistics — HealthMonitor caches a module's named
-//    parameters once (Attach) and, at a configurable epoch cadence,
-//    produces a HealthReport with rms/min/max/mean, NaN/Inf counts, and
-//    zero-fraction for every parameter and gradient (obs/report.h structs,
-//    streamed through the trainer's JSONL report).
+//    parameters once (Attach) and, every epoch, produces a HealthReport
+//    with rms/min/max/mean, NaN/Inf counts, and zero-fraction for every
+//    parameter and gradient (obs/report.h structs, streamed through the
+//    trainer's JSONL report).
 //  * Activation taps — TGCRN_HEALTH_TAP(name, tensor) in model code
 //    observes an intermediate tensor. Outside a sampling window the macro
 //    costs one relaxed atomic load and a branch (the same contract as
 //    TGCRN_TRACE_SCOPE); the trainer opens the window for the first batch
-//    of each sampled epoch.
+//    of each epoch.
 //  * Fail-fast sentinel — with `fatal` set (TGCRN_HEALTH_FATAL=1), the
 //    first non-finite value in a gradient or parameter aborts via
 //    TGCRN_CHECK with the offending module name, global step, and tensor
@@ -49,12 +49,10 @@ class Module;
 namespace obs {
 
 // Runtime knobs, defaulted from the environment by the trainer:
-//   TGCRN_HEALTH=1        enable collection
-//   TGCRN_HEALTH_EVERY=N  collect stats every N epochs (default 1)
+//   TGCRN_HEALTH=1        enable collection (stats every epoch)
 //   TGCRN_HEALTH_FATAL=1  abort on the first non-finite gradient/parameter
 struct HealthOptions {
   bool enabled = false;
-  int64_t every = 1;
   bool fatal = false;
 
   static HealthOptions FromEnv();
@@ -78,8 +76,6 @@ class HealthMonitor {
 
   bool enabled() const { return options_.enabled; }
   bool fatal() const { return options_.fatal; }
-  // True when stats should be collected for this (0-based) epoch.
-  bool ShouldSample(int64_t epoch) const;
 
   // Caches the module's named parameters (one vector build, so per-step
   // sentinel scans allocate nothing). Call once before training.

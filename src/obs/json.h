@@ -1,6 +1,6 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Minimal JSON value type for the observability layer: enough to emit
-// metric expositions, Chrome trace files, and run reports, and to parse
+// metric expositions, profiles and run reports, and to parse
 // them back for round-trip tests and report tooling. Deliberately
 // dependency-free (std only) so every layer of the system — including
 // src/common — can include obs headers without cycles.

@@ -10,8 +10,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "obs/json.h"
-
 namespace tgcrn {
 namespace obs {
 
@@ -126,44 +124,6 @@ std::string RegistrySnapshot::ToText() const {
     }
   }
   return out.str();
-}
-
-Json RegistrySnapshot::ToJson() const {
-  Json root = Json::Object();
-  for (const auto& sample : samples) {
-    switch (sample.kind) {
-      case MetricSample::Kind::kCounter:
-        root.Set(sample.name, Json::Int(sample.counter_value));
-        break;
-      case MetricSample::Kind::kGauge:
-        root.Set(sample.name, Json::Number(sample.gauge_value));
-        break;
-      case MetricSample::Kind::kHistogram: {
-        Json h = Json::Object();
-        h.Set("count", Json::Int(sample.histogram.count));
-        h.Set("sum", Json::Int(sample.histogram.sum));
-        h.Set("mean", Json::Number(sample.histogram.Mean()));
-        h.Set("p50", Json::Int(sample.histogram.ApproxQuantile(0.5)));
-        h.Set("p90", Json::Int(sample.histogram.ApproxQuantile(0.9)));
-        h.Set("p99", Json::Int(sample.histogram.ApproxQuantile(0.99)));
-        h.Set("p999", Json::Int(sample.histogram.ApproxQuantile(0.999)));
-        Json buckets = Json::Array();
-        // Emit only the populated prefix ranges to keep reports small:
-        // [lower_bound, count] pairs for non-empty buckets.
-        for (int b = 0; b < kHistogramBuckets; ++b) {
-          if (sample.histogram.buckets[b] == 0) continue;
-          Json pair = Json::Array();
-          pair.Append(Json::Int(HistogramBucketLowerBound(b)));
-          pair.Append(Json::Int(sample.histogram.buckets[b]));
-          buckets.Append(std::move(pair));
-        }
-        h.Set("buckets", std::move(buckets));
-        root.Set(sample.name, std::move(h));
-        break;
-      }
-    }
-  }
-  return root;
 }
 
 struct Registry::Impl {

@@ -29,8 +29,6 @@
 namespace tgcrn {
 namespace obs {
 
-class Json;
-
 // Number of independent write stripes per metric. Threads hash onto a
 // stripe at first use; 16 stripes keep the 8-thread pool collision-free in
 // expectation while bounding the merge cost of a snapshot.
@@ -135,8 +133,6 @@ struct RegistrySnapshot {
   // Plain-text exposition, one metric per line (histograms expand to
   // count/sum/p50/p90/p99/p999 lines — serving tails live past p99).
   std::string ToText() const;
-  // JSON object keyed by metric name.
-  Json ToJson() const;
 };
 
 // Process-global name -> metric map. Lookup takes a mutex (cold path, call
@@ -169,7 +165,7 @@ class Registry {
 bool DumpMetricsRegistry(const std::string& target);
 
 // The TGCRN_METRICS_DUMP target from the environment ("" when unset).
-// Exposed for the abort-flush path in obs/trace.cc.
+// Exposed for the flush path in obs/trace.cc.
 const std::string& MetricsDumpTargetFromEnv();
 
 }  // namespace obs

@@ -259,11 +259,11 @@ void AtExitWrite() {
     std::lock_guard<std::mutex> lock(state.mu);
     path = state.options.path;
   }
-  if (!path.empty()) WriteProfileFiles(path);
+  if (!path.empty()) WriteProfileFile(path);
 }
 
 // Reads TGCRN_PROF once at process start so any binary profiles without
-// code changes; the atexit hook writes the files when a path was given.
+// code changes; the atexit hook writes the file when a path was given.
 struct EnvAutoStart {
   EnvAutoStart() {
     const ProfOptions options = ProfOptions::FromEnv();
@@ -387,6 +387,8 @@ void SummarizeKernels(const MergeNode& node, const std::string& name,
 
 namespace internal {
 
+std::atomic<bool> g_prof_armed{false};
+
 void ProfEnterScope(const char* name) {
   ProfThread* t = GetProfThread();
   std::lock_guard<std::mutex> lock(t->mu);
@@ -438,8 +440,7 @@ ProfOptions ProfOptions::FromEnv() {
 }
 
 bool ProfilingEnabled() {
-  return (internal::g_scope_mask.load(std::memory_order_relaxed) &
-          internal::kScopeProfBit) != 0;
+  return internal::g_prof_armed.load(std::memory_order_relaxed);
 }
 
 void StartProfiling(const ProfOptions& options) {
@@ -455,13 +456,11 @@ void StartProfiling(const ProfOptions& options) {
     }
   }
   ResetProfile();
-  internal::g_scope_mask.fetch_or(internal::kScopeProfBit,
-                                  std::memory_order_relaxed);
+  internal::g_prof_armed.store(true, std::memory_order_relaxed);
 }
 
 void StopProfiling() {
-  internal::g_scope_mask.fetch_and(~internal::kScopeProfBit,
-                                   std::memory_order_relaxed);
+  internal::g_prof_armed.store(false, std::memory_order_relaxed);
 }
 
 void ResetProfile() {
@@ -558,7 +557,7 @@ ProfReport CollectProfReport() {
   return report;
 }
 
-bool WriteProfileFiles(const std::string& path) {
+bool WriteProfileFile(const std::string& path) {
   const ProfReport report = CollectProfReport();
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -568,16 +567,6 @@ bool WriteProfileFiles(const std::string& path) {
   const std::string text = report.ToJson().Dump();
   bool ok = std::fputs(text.c_str(), out) >= 0 && std::fputc('\n', out) != EOF;
   ok = std::fclose(out) == 0 && ok;
-
-  const std::string collapsed_path = path + ".collapsed";
-  std::FILE* collapsed = std::fopen(collapsed_path.c_str(), "w");
-  if (collapsed == nullptr) {
-    std::fprintf(stderr, "[obs] cannot open collapsed-stack file %s\n",
-                 collapsed_path.c_str());
-    return false;
-  }
-  ok = std::fputs(report.ToCollapsed().c_str(), collapsed) >= 0 && ok;
-  ok = std::fclose(collapsed) == 0 && ok;
   if (!ok) {
     std::fprintf(stderr, "[obs] profile write failed for %s\n", path.c_str());
   }
@@ -595,7 +584,7 @@ void DumpProfileOnAbort() {
   }
   if (!armed) return;
   if (!path.empty()) {
-    WriteProfileFiles(path);
+    WriteProfileFile(path);
   } else {
     // Armed without a file target (TGCRN_PROF=1): the abort still leaves
     // the cost snapshot on stderr, mirroring DumpMetricsRegistry.

@@ -1,22 +1,21 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Kernel-level cost profiler: the third observability tier. Like the first
 // tier (json/metrics/trace/report) it is std-only — it depends on nothing
-// above obs/ — but unlike the tracer it aggregates instead of recording:
-// every TGCRN_TRACE_SCOPE span folds into a per-thread attribution call
-// tree (inclusive/exclusive wall clock, invocation counts), kernel entry
-// points additionally report analytic flop/byte costs, and (when the
-// kernel grants perf_event_open) a per-thread hardware counter group
-// attributes cycles, instructions, and cache/branch misses to the same
-// scopes. CollectProfReport() merges the per-thread trees into one
-// obs::ProfReport — per-kernel GFLOP/s, arithmetic intensity, and IPC: a
-// software roofline for the AVX2 vs scalar kernel tables.
+// above obs/ — and it is the one consumer of scoped spans: every
+// TGCRN_TRACE_SCOPE span folds into a per-thread attribution call tree
+// (inclusive/exclusive wall clock, invocation counts), kernel entry points
+// additionally report analytic flop/byte costs, and (when the kernel
+// grants perf_event_open) a per-thread hardware counter group attributes
+// cycles, instructions, and cache/branch misses to the same scopes.
+// CollectProfReport() merges the per-thread trees into one obs::ProfReport
+// — per-kernel GFLOP/s, arithmetic intensity, and IPC: a software roofline
+// for the AVX2 vs scalar kernel tables.
 //
 // Cost contract (the TGCRN_TRACE_SCOPE / TGCRN_HEALTH_TAP contract):
-//  * profiler off: one relaxed atomic load + branch per span (shared with
-//    the tracer via the combined scope mask) and one per RecordKernelCost
-//    site; no allocation — the zero-alloc steady state is preserved and
-//    training losses are bitwise identical to a build without the
-//    profiler.
+//  * profiler off: one relaxed atomic load + branch per span and one per
+//    RecordKernelCost site; no allocation — the zero-alloc steady state
+//    is preserved and training losses are bitwise identical to a build
+//    without the profiler.
 //  * profiler on: a scope enter/exit touches only its thread's state (no
 //    cross-thread locks on the hot path); node tables only grow, so after
 //    the first epoch steady-state scopes allocate nothing.
@@ -27,8 +26,9 @@
 // measurements and vary run to run.
 //
 // Arming: TGCRN_PROF=1 (collect; report via CollectProfReport/trainer) or
-// TGCRN_PROF=<path> (also write <path> JSON + <path>.collapsed flamegraph
-// stacks at process exit), or StartProfiling() programmatically.
+// TGCRN_PROF=<path> (also write the profile JSON to <path> at process
+// exit), or StartProfiling() programmatically. `tgcrn_prof stacks` renders
+// collapsed flamegraph lines from that JSON.
 // TGCRN_PROF_COUNTERS=0 skips the perf_event group (it is also skipped
 // automatically where the syscall is denied, e.g. most containers).
 #ifndef TGCRN_OBS_PROF_H_
@@ -44,7 +44,7 @@ namespace obs {
 
 // Runtime knobs, defaulted from the environment by the trainer:
 //   TGCRN_PROF=1        enable collection
-//   TGCRN_PROF=<path>   enable and write profile files at process exit
+//   TGCRN_PROF=<path>   enable and write the profile file at process exit
 //   TGCRN_PROF_COUNTERS=0  do not attempt perf_event counters
 struct ProfOptions {
   bool enabled = false;
@@ -78,15 +78,14 @@ void ResetProfile();
 // children only).
 ProfReport CollectProfReport();
 
-// Writes the cumulative profile as JSON to `path` and collapsed-stack
-// lines to `path`.collapsed. Returns false (and logs to stderr) on I/O
-// failure.
-bool WriteProfileFiles(const std::string& path);
+// Writes the cumulative profile as JSON to `path`. Returns false (and
+// logs to stderr) on I/O failure.
+bool WriteProfileFile(const std::string& path);
 
 // TGCRN_CHECK abort path (called from FlushObservabilityOnAbort): if the
-// profiler was armed with a file path, write the profile files so an
-// aborted run (e.g. TGCRN_HEALTH_FATAL) leaves a cost snapshot next to
-// the trace. No-op when not armed or no path was configured.
+// profiler was armed with a file path, write the profile file so an
+// aborted run (e.g. TGCRN_HEALTH_FATAL) leaves a cost snapshot behind.
+// No-op when not armed or no path was configured.
 void DumpProfileOnAbort();
 
 // Attributes one kernel dispatch to the innermost open scope: analytic

@@ -41,7 +41,7 @@ inline const char* const kPhaseBackward = "backward";
 inline const char* const kPhaseClip = "clip";
 inline const char* const kPhaseAdam = "adam";
 inline const char* const kPhaseEval = "eval";
-// Health-stat collection (only present on sampled epochs with TGCRN_HEALTH).
+// Health-stat collection (only present with TGCRN_HEALTH).
 inline const char* const kPhaseHealth = "health";
 // Profiler snapshot collection (only present with TGCRN_PROF).
 inline const char* const kPhaseProf = "prof";
@@ -211,8 +211,8 @@ struct EpochReport {
   double grad_norm_last = 0.0;  // final batch's pre-clip norm
   double seconds = 0.0;         // wall clock for the epoch (train + eval)
   std::map<std::string, double> phase_seconds;
-  // Present only on epochs the health monitor sampled (TGCRN_HEALTH=1 at
-  // the configured cadence); the epoch JSON line gains a "health" object.
+  // Present only when the health monitor is armed (TGCRN_HEALTH=1); the
+  // epoch JSON line gains a "health" object.
   bool has_health = false;
   HealthReport health;
   // Present only when the profiler is armed (TGCRN_PROF / --prof); the

@@ -296,7 +296,7 @@ obs::Json Server::StatsJson(const std::string& view) {
   out.Set("uptime_s", obs::Json::Number(uptime));
   // Tensor heap allocations since the previous stats op — the wire-level
   // view of the zero-alloc steady state (0 once every client entity is
-  // warm and shapes have stabilized; asserted by the CI serve-smoke job).
+  // warm and shapes have stabilized; pinned by serve_server_test).
   out.Set("tensor_allocations_delta", obs::Json::Int(allocs - alloc_marker_));
   alloc_marker_ = allocs;
 

@@ -328,7 +328,7 @@ void ServeTelemetry::Flush() {
   flushed_ = true;
   if (log_ != nullptr) {
     // Final drift block, then the retained slow exemplars — the "dump on
-    // shutdown/abort next to the trace/metrics/prof flush" contract.
+    // shutdown/abort next to the metrics/prof flush" contract.
     if (drift_.HasData()) WriteLogJson(drift_.Block());
     for (int64_t i = 0; i < slow_.size(); ++i) {
       obs::Json entry = TraceJson(slow_.At(i));

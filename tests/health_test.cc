@@ -106,48 +106,30 @@ TEST(TensorStatsTest, DescribeMentionsEveryField) {
 
 TEST(HealthOptionsTest, FromEnvParsesAllKnobs) {
   unsetenv("TGCRN_HEALTH");
-  unsetenv("TGCRN_HEALTH_EVERY");
   unsetenv("TGCRN_HEALTH_FATAL");
   obs::HealthOptions off = obs::HealthOptions::FromEnv();
   EXPECT_FALSE(off.enabled);
   EXPECT_FALSE(off.fatal);
-  EXPECT_EQ(off.every, 1);
 
   setenv("TGCRN_HEALTH", "1", 1);
-  setenv("TGCRN_HEALTH_EVERY", "5", 1);
   setenv("TGCRN_HEALTH_FATAL", "1", 1);
   obs::HealthOptions on = obs::HealthOptions::FromEnv();
   EXPECT_TRUE(on.enabled);
   EXPECT_TRUE(on.fatal);
-  EXPECT_EQ(on.every, 5);
 
   setenv("TGCRN_HEALTH", "0", 1);
-  setenv("TGCRN_HEALTH_EVERY", "0", 1);  // clamped to 1
   setenv("TGCRN_HEALTH_FATAL", "0", 1);
   obs::HealthOptions zeros = obs::HealthOptions::FromEnv();
   EXPECT_FALSE(zeros.enabled);
   EXPECT_FALSE(zeros.fatal);
-  EXPECT_EQ(zeros.every, 1);
 
   unsetenv("TGCRN_HEALTH");
-  unsetenv("TGCRN_HEALTH_EVERY");
   unsetenv("TGCRN_HEALTH_FATAL");
 }
 
-TEST(HealthMonitorTest, ShouldSampleHonorsCadence) {
-  obs::HealthOptions options;
-  options.enabled = true;
-  options.every = 3;
-  obs::HealthMonitor monitor(options);
-  EXPECT_TRUE(monitor.ShouldSample(0));
-  EXPECT_FALSE(monitor.ShouldSample(1));
-  EXPECT_FALSE(monitor.ShouldSample(2));
-  EXPECT_TRUE(monitor.ShouldSample(3));
-
+TEST(HealthMonitorTest, DisabledMonitorNeverOpensSamplingWindow) {
   obs::HealthMonitor disabled((obs::HealthOptions()));
   EXPECT_FALSE(disabled.enabled());
-  EXPECT_FALSE(disabled.ShouldSample(0));
-  // A disabled monitor never opens a sampling window.
   disabled.BeginActivationSampling(0);
   EXPECT_FALSE(obs::HealthSamplingActive());
 }
@@ -341,7 +323,6 @@ TEST_F(HealthTrainFixture, TrainEmbedsHealthBlocksInJsonlReport) {
   config.verbose = false;
   config.report_path = path;
   config.health.enabled = true;
-  config.health.every = 1;
   const auto result = core::TrainAndEvaluate(&model, *dataset_, config);
 
   ASSERT_EQ(result.report.epochs.size(), 2u);
@@ -430,7 +411,6 @@ TEST_F(HealthTrainFixture, MonitorDoesNotPerturbTraining) {
   const auto result_off = core::TrainAndEvaluate(&model_off, *dataset_, config);
 
   config.health.enabled = true;
-  config.health.every = 1;
   Rng rng_on(55);
   core::TGCRN model_on(SmallModelConfig(), &rng_on);
   const auto result_on = core::TrainAndEvaluate(&model_on, *dataset_, config);

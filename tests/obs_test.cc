@@ -1,8 +1,8 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Tests of the observability layer: JSON round-trips, histogram bucket
-// math, stripe-merge correctness under the thread pool, Chrome trace
-// output validity, and the structured run report produced by a real
-// 2-epoch smoke train.
+// math, stripe-merge correctness under the thread pool, the scoped-span
+// off path, and the structured run report produced by a real 2-epoch
+// smoke train.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -24,8 +24,10 @@
 #include "obs/diff.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/prof.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "tensor/buffer_pool.h"
 
 namespace tgcrn {
 namespace {
@@ -205,7 +207,7 @@ TEST(GaugeTest, LastWriteWins) {
   EXPECT_DOUBLE_EQ(g->Value(), -42.25);
 }
 
-TEST(RegistryTest, CollectExposesTextAndJson) {
+TEST(RegistryTest, CollectExposesSortedText) {
   obs::Registry::Global().GetCounter("test.exposed_counter")->Add(3);
   obs::Registry::Global().GetGauge("test.exposed_gauge")->Set(2.5);
   obs::Registry::Global().GetHistogram("test.exposed_ns")->Observe(7);
@@ -218,13 +220,7 @@ TEST(RegistryTest, CollectExposesTextAndJson) {
   const std::string text = snap.ToText();
   EXPECT_NE(text.find("test.exposed_counter"), std::string::npos);
   EXPECT_NE(text.find("test.exposed_gauge"), std::string::npos);
-  const obs::Json json = snap.ToJson();
-  ASSERT_TRUE(json.is_object());
-  EXPECT_TRUE(json.Has("test.exposed_counter"));
-  EXPECT_TRUE(json.Has("test.exposed_ns"));
-  // The whole exposition itself must be valid JSON.
-  obs::Json reparsed;
-  EXPECT_TRUE(obs::Json::Parse(json.Dump(), &reparsed));
+  EXPECT_NE(text.find("test.exposed_ns.count"), std::string::npos);
 }
 
 TEST(RegistryTest, HistogramExpositionCarriesTailQuantiles) {
@@ -234,77 +230,25 @@ TEST(RegistryTest, HistogramExpositionCarriesTailQuantiles) {
   for (int i = 0; i < 100; ++i) h->Observe(10);
   const obs::RegistrySnapshot snap = obs::Registry::Global().Collect();
   // Serving tails live past p99, so the exposition carries p90 and p999
-  // alongside the original p50/p99 in both text and JSON forms.
+  // alongside the original p50/p99.
   const std::string text = snap.ToText();
   for (const char* line :
        {"test.tail_quantiles_ns.p50", "test.tail_quantiles_ns.p90",
         "test.tail_quantiles_ns.p99", "test.tail_quantiles_ns.p999"}) {
     EXPECT_NE(text.find(line), std::string::npos) << line;
   }
-  const obs::Json json = snap.ToJson();
-  ASSERT_TRUE(json.Has("test.tail_quantiles_ns"));
-  for (const char* key : {"p50", "p90", "p99", "p999"}) {
-    EXPECT_TRUE(json["test.tail_quantiles_ns"].Has(key)) << key;
-  }
 }
 
 // --------------------------------------------------------------- Trace --
 
 TEST(TraceTest, DisabledTracingRecordsNothing) {
-  ASSERT_FALSE(obs::TracingEnabled());
-  const int64_t before = obs::BufferedTraceEventCount();
+  // With the profiler (the one span consumer) disarmed, a span is a
+  // relaxed load and a branch: it reaches no attribution tree.
+  ASSERT_FALSE(obs::ProfilingEnabled());
   { TGCRN_TRACE_SCOPE("test.should_not_record"); }
-  EXPECT_EQ(obs::BufferedTraceEventCount(), before);
-}
-
-TEST(TraceTest, WritesValidBalancedChromeTraceJson) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "tgcrn_obs_test.trace.json")
-          .string();
-  std::filesystem::remove(path);
-
-  obs::StartTracing(path);
-  ASSERT_TRUE(obs::TracingEnabled());
-  {
-    TGCRN_TRACE_SCOPE("test.outer");
-    ScopedNumThreads guard(8);
-    ParallelFor(0, 5000, 1, [](int64_t s, int64_t e) {
-      volatile int64_t sink = 0;
-      for (int64_t i = s; i < e; ++i) sink += i;
-    });
+  for (const auto& node : obs::CollectProfReport().nodes) {
+    EXPECT_NE(node.name, "test.should_not_record");
   }
-  EXPECT_GT(obs::BufferedTraceEventCount(), 0);
-  ASSERT_TRUE(obs::StopTracingAndWrite());
-  EXPECT_FALSE(obs::TracingEnabled());
-  // Second stop without a start is a no-op.
-  EXPECT_FALSE(obs::StopTracingAndWrite());
-
-  const std::string content = ReadFile(path);
-  ASSERT_FALSE(content.empty());
-  obs::Json trace;
-  std::string error;
-  ASSERT_TRUE(obs::Json::Parse(content, &trace, &error)) << error;
-  ASSERT_TRUE(trace.Has("traceEvents"));
-  const obs::Json& events = trace["traceEvents"];
-  ASSERT_TRUE(events.is_array());
-  ASSERT_GT(events.size(), 0u);
-
-  bool saw_outer = false, saw_worker = false;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const obs::Json& ev = events.at(i);
-    // "X" complete events are balanced by construction: every span carries
-    // its own duration, so no begin/end pairing can be left open.
-    EXPECT_EQ(ev.GetString("ph"), "X");
-    EXPECT_TRUE(ev.Has("name"));
-    EXPECT_TRUE(ev.Has("ts"));
-    EXPECT_GE(ev.GetDouble("dur"), 0.0);
-    EXPECT_GE(ev.GetInt("tid"), 0);
-    saw_outer = saw_outer || ev.GetString("name") == "test.outer";
-    saw_worker = saw_worker || ev.GetString("name") == "ParallelFor.worker";
-  }
-  EXPECT_TRUE(saw_outer);
-  EXPECT_TRUE(saw_worker);
-  std::filesystem::remove(path);
 }
 
 // -------------------------------------------------------------- Report --
@@ -695,6 +639,10 @@ TEST_F(ObsTrainFixture, RunReportJsonlRoundTripFromSmokeTrain) {
 // Hot-path metrics wired through the substrate layers actually move when a
 // model trains.
 TEST_F(ObsTrainFixture, SubsystemCountersAdvanceDuringTraining) {
+  // Start from a cold buffer pool: an earlier train in this process
+  // (RunReportJsonlRoundTripFromSmokeTrain) would otherwise serve every
+  // tensor from the free lists, and the allocation counters count misses.
+  TensorBufferPool::Global().Clear();
   obs::Registry& registry = obs::Registry::Global();
   obs::Counter* fwd = registry.GetCounter("autograd.forward_ops");
   obs::Counter* bwd = registry.GetCounter("autograd.backward_ops");

@@ -3,7 +3,8 @@
 // hand-built nested scopes, the determinism contract (invocation/flop
 // counts bitwise identical across thread counts and ISA levels), the
 // perf_event fallback path, report arithmetic (delta/accumulate/collapsed),
-// the DiffProfiles gating rules, the per-epoch "prof" JSONL round trip —
+// the DiffReports gating rules on per-epoch "prof" blocks, the per-epoch
+// "prof" JSONL round trip —
 // and the guarantee that the profiler never changes what training computes
 // (bitwise losses, zero-alloc steady state when off).
 #include <cstdlib>
@@ -293,8 +294,8 @@ TEST(ProfDeterminismTest, MatmulFlopModelMatchesShape) {
   const Tensor a = Tensor::RandUniform({32, 80}, -1.0f, 1.0f, &rng);
   const Tensor b = Tensor::RandUniform({80, 24}, -1.0f, 1.0f, &rng);
   (void)a.Matmul(b);
-  const obs::ProfKernelReport* kernel =
-      FindKernel(obs::CollectProfReport(), "tensor.Matmul");
+  const obs::ProfReport report = obs::CollectProfReport();
+  const obs::ProfKernelReport* kernel = FindKernel(report, "tensor.Matmul");
   ASSERT_NE(kernel, nullptr);
   EXPECT_EQ(kernel->invocations, 1);
   EXPECT_DOUBLE_EQ(kernel->flops, 2.0 * 32 * 24 * 80);
@@ -421,29 +422,54 @@ TEST(ProfReportTest, CollapsedStacksUsePathsAndExclusiveNanos) {
 
 // ------------------------------------------------------- Diff gating --
 
-TEST(DiffProfilesTest, SelfDiffPassesAtZeroThreshold) {
-  const obs::ProfReport report = MakeReport(10, 1000.0, 1.0);
-  obs::ReportDiffOptions options;
-  options.max_regress_pct = 0.0;
-  const obs::ReportDiffResult result =
-      obs::DiffProfiles(report, report, options);
-  EXPECT_TRUE(result.ok());
-  EXPECT_FALSE(result.rows.empty());
+// A two-epoch run whose epochs each carry `per_epoch` as their "prof"
+// delta; DiffReports sums the epoch blocks back into one profile.
+obs::RunReport RunWithProf(const obs::ProfReport& per_epoch) {
+  obs::RunReport run;
+  for (int i = 0; i < 2; ++i) {
+    obs::EpochReport epoch;
+    epoch.epoch = i;
+    epoch.has_prof = true;
+    epoch.prof = per_epoch;
+    run.epochs.push_back(epoch);
+  }
+  return run;
 }
 
-TEST(DiffProfilesTest, InvocationIncreaseGatesAndCyclesAreInfo) {
+// The profiler rows of a diff, keyed by metric name.
+std::map<std::string, obs::DiffRow> ProfRows(
+    const obs::ReportDiffResult& result) {
+  std::map<std::string, obs::DiffRow> rows;
+  for (const auto& row : result.rows) {
+    if (row.metric.rfind("prof.", 0) == 0) rows[row.metric] = row;
+  }
+  return rows;
+}
+
+TEST(DiffTest, ProfSelfDiffPassesAtZeroThreshold) {
+  const obs::RunReport run = RunWithProf(MakeReport(10, 1000.0, 1.0));
+  obs::ReportDiffOptions options;
+  options.max_regress_pct = 0.0;
+  const obs::ReportDiffResult result = obs::DiffReports(run, run, options);
+  EXPECT_TRUE(result.ok());
+  EXPECT_FALSE(ProfRows(result).empty());
+}
+
+TEST(DiffTest, ProfInvocationIncreaseGatesAndCyclesAreInfo) {
   obs::ProfReport baseline = MakeReport(100, 1000.0, 1.0);
   obs::ProfReport candidate = MakeReport(120, 1200.0, 1.2);
   obs::ReportDiffOptions options;
   options.max_regress_pct = 10.0;
 
   // Without counters, only invocations are compared: +20% regresses.
-  obs::ReportDiffResult result =
-      obs::DiffProfiles(baseline, candidate, options);
+  obs::ReportDiffResult result = obs::DiffReports(
+      RunWithProf(baseline), RunWithProf(candidate), options);
   EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.rows.size(), 1u);
-  EXPECT_EQ(result.rows[0].metric, "prof.tensor.Matmul.invocations");
-  EXPECT_TRUE(result.rows[0].regressed);
+  std::map<std::string, obs::DiffRow> rows = ProfRows(result);
+  ASSERT_EQ(rows.size(), 1u);
+  const obs::DiffRow& invocations = rows["prof.tensor.Matmul.invocations"];
+  EXPECT_DOUBLE_EQ(invocations.baseline, 200.0);  // summed over 2 epochs
+  EXPECT_TRUE(invocations.regressed);
 
   // With counters on both sides: instructions gate, cycles/ipc never do.
   baseline.counters_available = true;
@@ -452,26 +478,25 @@ TEST(DiffProfilesTest, InvocationIncreaseGatesAndCyclesAreInfo) {
   baseline.kernels[0].cycles = 500;
   candidate.kernels[0].instructions = 5000;  // way past 10%
   candidate.kernels[0].cycles = 50000;       // huge, but info-only
-  result = obs::DiffProfiles(baseline, candidate, options);
-  bool instructions_regressed = false;
-  for (const auto& row : result.rows) {
-    if (row.metric == "prof.instructions") {
-      EXPECT_TRUE(row.gated);
-      instructions_regressed = row.regressed;
-    }
-    if (row.metric == "prof.cycles" || row.metric == "prof.ipc") {
-      EXPECT_FALSE(row.gated);
-      EXPECT_FALSE(row.regressed);
-    }
+  result = obs::DiffReports(RunWithProf(baseline), RunWithProf(candidate),
+                            options);
+  rows = ProfRows(result);
+  ASSERT_EQ(rows.count("prof.instructions"), 1u);
+  EXPECT_TRUE(rows["prof.instructions"].gated);
+  EXPECT_TRUE(rows["prof.instructions"].regressed);
+  for (const char* info : {"prof.cycles", "prof.ipc"}) {
+    ASSERT_EQ(rows.count(info), 1u) << info;
+    EXPECT_FALSE(rows[info].gated) << info;
+    EXPECT_FALSE(rows[info].regressed) << info;
   }
-  EXPECT_TRUE(instructions_regressed);
 
   // Counters on one side only: the hardware rows disappear entirely.
   candidate.counters_available = false;
-  result = obs::DiffProfiles(baseline, candidate, options);
-  for (const auto& row : result.rows) {
-    EXPECT_EQ(row.metric.find("prof.instructions"), std::string::npos);
-  }
+  result = obs::DiffReports(RunWithProf(baseline), RunWithProf(candidate),
+                            options);
+  rows = ProfRows(result);
+  EXPECT_EQ(rows.count("prof.instructions"), 0u);
+  EXPECT_EQ(rows.count("prof.cycles"), 0u);
 }
 
 // -------------------------------------------- Trainer integration ------
@@ -634,13 +659,11 @@ TEST(ProfZeroAllocTest, ProfilerOffSteadyStateAllocatesNothing) {
 
 // ----------------------------------------------------------- Files -----
 
-TEST(ProfFilesTest, WriteProfileFilesEmitsJsonAndCollapsed) {
-  const auto base =
-      (std::filesystem::temp_directory_path() / "tgcrn_prof_test_profile")
+TEST(ProfFilesTest, WriteProfileFileEmitsJson) {
+  const std::string json_path =
+      (std::filesystem::temp_directory_path() / "tgcrn_prof_test_profile.json")
           .string();
-  const std::string json_path = base + ".json";
   std::filesystem::remove(json_path);
-  std::filesystem::remove(json_path + ".collapsed");
 
   {
     ScopedProfiler profiler;
@@ -648,7 +671,7 @@ TEST(ProfFilesTest, WriteProfileFilesEmitsJsonAndCollapsed) {
       TGCRN_TRACE_SCOPE("test.outer");
       LeafScope();
     }
-    ASSERT_TRUE(obs::WriteProfileFiles(json_path));
+    ASSERT_TRUE(obs::WriteProfileFile(json_path));
   }
 
   std::ifstream json_in(json_path);
@@ -660,16 +683,11 @@ TEST(ProfFilesTest, WriteProfileFilesEmitsJsonAndCollapsed) {
   ASSERT_TRUE(json.Has("kernels"));
   const obs::ProfReport loaded = obs::ProfReport::FromJson(json);
   EXPECT_NE(FindKernel(loaded, "test.leaf"), nullptr);
-
-  std::ifstream collapsed_in(json_path + ".collapsed");
-  ASSERT_TRUE(collapsed_in.good());
-  std::ostringstream collapsed_buffer;
-  collapsed_buffer << collapsed_in.rdbuf();
-  EXPECT_NE(collapsed_buffer.str().find("root;test.outer;test.leaf"),
+  // `tgcrn_prof stacks` renders flamegraph lines from this JSON.
+  EXPECT_NE(loaded.ToCollapsed().find("root;test.outer;test.leaf"),
             std::string::npos);
 
   std::filesystem::remove(json_path);
-  std::filesystem::remove(json_path + ".collapsed");
 }
 
 }  // namespace

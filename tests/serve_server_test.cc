@@ -1,8 +1,8 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Wire-level tests of the NDJSON forecast server (src/serve/server.h):
 // schema of every response type, per-connection ordering, error paths,
-// and clean shutdown — the same exchanges the CI serve-smoke job drives
-// against the tgcrn_serve binary (protocol spec: docs/SERVING.md).
+// the zero-allocation steady state with request telemetry armed, the
+// access log, and clean shutdown (protocol spec: docs/SERVING.md).
 #include "serve/server.h"
 
 #include <arpa/inet.h>
@@ -27,6 +27,7 @@
 #include "obs/json.h"
 #include "serve/session.h"
 #include "serve/telemetry.h"
+#include "tensor/buffer_pool.h"
 
 namespace tgcrn {
 namespace {
@@ -428,6 +429,63 @@ TEST_F(ServeServerTelemetryFixture, RequestStopFlushesCompleteAccessLog) {
   EXPECT_EQ(requests, 2);
   // Observations were recorded, so the final flush emits a drift block.
   EXPECT_TRUE(saw_drift);
+}
+
+TEST_F(ServeServerTelemetryFixture,
+       SteadyStateAllocatesNothingWithTelemetryArmed) {
+  // Start from a cold buffer pool, as a fresh tgcrn_serve process does,
+  // whatever ran earlier in this process.
+  TensorBufferPool::Global().Clear();
+  Client client(server_->port());
+  auto round = [&](int64_t t) {
+    for (const char* entity : {"hz", "sh"}) {
+      ASSERT_TRUE(client.Call(ObserveLine(entity, t))["ok"].AsBool());
+    }
+    for (const char* entity : {"hz", "sh"}) {
+      const obs::Json forecast = client.Call(
+          std::string(R"({"op":"forecast","entity":")") + entity + "\"}");
+      ASSERT_TRUE(forecast["ok"].AsBool()) << forecast.Dump();
+    }
+  };
+  // Warm-up touches every steady-state shape (observe + forecast).
+  for (int64_t t = 0; t < 4; ++t) round(t);
+
+  // The allocation delta of the second stats call covers exactly the
+  // requests between the two calls.
+  ASSERT_TRUE(client.Call(R"({"op":"stats"})")["ok"].AsBool());
+  for (int64_t t = 4; t < 10; ++t) round(t);
+  const obs::Json stats = client.Call(R"({"op":"stats"})");
+  ASSERT_TRUE(stats["ok"].AsBool()) << stats.Dump();
+  EXPECT_EQ(stats.GetInt("entities"), 2);
+  EXPECT_TRUE(stats.Has("uptime_s"));
+  EXPECT_EQ(stats.GetInt("tensor_allocations_delta", -1), 0)
+      << "steady state allocated with telemetry armed: " << stats.Dump();
+}
+
+TEST_F(ServeServerTelemetryFixture, ShutdownFlushWritesSlowAndOneDriftBlock) {
+  {
+    Client client(server_->port());
+    for (int64_t t = 0; t < 3; ++t) {
+      ASSERT_TRUE(client.Call(ObserveLine("hz", t))["ok"].AsBool());
+    }
+    ASSERT_TRUE(client.Call(R"({"op":"forecast","entity":"hz"})")["ok"]
+                    .AsBool());
+    ASSERT_TRUE(client.Call(ObserveLine("hz", 3))["ok"].AsBool());
+  }
+  Shutdown();  // the wire shutdown request, as tgcrn_serve receives it
+
+  int slow = 0;
+  std::vector<obs::Json> drift;
+  for (const obs::Json& entry : ReadLogLines()) {
+    slow += entry.GetString("type") == "slow";
+    if (entry.GetString("type") == "drift") drift.push_back(entry);
+  }
+  EXPECT_GT(slow, 0);  // slow_us = 1: every request is an exemplar
+  ASSERT_EQ(drift.size(), 1u) << "expected exactly one final drift block";
+  for (const char* key : {"observations", "matched", "coverage", "horizons"}) {
+    EXPECT_TRUE(drift[0].Has(key)) << key;
+  }
+  EXPECT_GT(drift[0].GetInt("observations"), 0);
 }
 
 }  // namespace

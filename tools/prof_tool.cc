@@ -1,27 +1,23 @@
 // Copyright 2026 TGCRN Reproduction Authors
-// Pretty-printer and regression gate for kernel cost profiles (obs/prof.h):
+// Pretty-printer for kernel cost profiles (obs/prof.h):
 //
-//   tgcrn_prof show <profile>                    kernel roofline table + tree
-//   tgcrn_prof stacks <profile>                  collapsed flamegraph lines
-//   tgcrn_prof diff <baseline> <candidate> [--max-regress-pct=N]
+//   tgcrn_prof show <profile>      kernel roofline table + attribution tree
+//   tgcrn_prof stacks <profile>    collapsed flamegraph lines
 //
 // <profile> is either a profile JSON file (written by TGCRN_PROF=<path> or
 // `train_model --prof`) or a run-report JSONL file whose epoch lines carry
 // "prof" blocks — the per-epoch deltas are accumulated back into one
-// whole-run profile. `diff` gates per-kernel invocation counts (and total
-// instructions when both runs had perf counters) on --max-regress-pct;
-// cycles/IPC are informational. See obs/diff.h for the gating rules.
+// whole-run profile. Profiles are gated by tgcrn_report_diff, which diffs
+// the per-epoch "prof" blocks of two run reports (obs/diff.h).
 //
-// Exit codes: 0 ok / no regression, 1 regression, 2 usage or parse error.
+// Exit codes: 0 ok, 2 usage or parse error.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/table_printer.h"
-#include "obs/diff.h"
 #include "obs/json.h"
 #include "obs/report.h"
 
@@ -130,20 +126,15 @@ int Usage() {
       stderr,
       "usage: tgcrn_prof show <profile>\n"
       "       tgcrn_prof stacks <profile>\n"
-      "       tgcrn_prof diff <baseline> <candidate> [--max-regress-pct=N]\n"
       "  show    kernel roofline table (invocations, exclusive/worker\n"
       "          seconds, GFLOP/s, FLOP/byte; IPC and cache misses when\n"
       "          perf counters were available) plus the attribution tree\n"
       "  stacks  collapsed flamegraph lines (feed to flamegraph.pl)\n"
-      "  diff    gates per-kernel invocation counts (and total\n"
-      "          instructions when both runs had counters) at\n"
-      "          --max-regress-pct (default 10); cycle/IPC rows are\n"
-      "          informational\n"
       "<profile> is a profile JSON (TGCRN_PROF=<path>, train_model --prof,\n"
       "bench --report) or a run-report JSONL whose epoch lines carry\n"
       "\"prof\" blocks — epoch deltas are summed into one whole-run\n"
       "profile.\n"
-      "exit codes: 0 ok, 1 regression, 2 usage or parse error\n"
+      "exit codes: 0 ok, 2 usage or parse error\n"
       "docs: docs/BENCHMARKS.md (reading the roofline table), docs/API.md\n"
       "(profile JSON schema)\n");
   return 2;
@@ -152,72 +143,15 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  if (argc != 3) return Usage();
   const std::string command = argv[1];
-
-  if (command == "show" || command == "stacks") {
-    if (argc != 3) return Usage();
-    tgcrn::obs::ProfReport report;
-    if (!LoadProfile(argv[2], &report)) return 2;
-    if (command == "show") {
-      PrintShow(report);
-    } else {
-      std::fputs(report.ToCollapsed().c_str(), stdout);
-    }
-    return 0;
+  if (command != "show" && command != "stacks") return Usage();
+  tgcrn::obs::ProfReport report;
+  if (!LoadProfile(argv[2], &report)) return 2;
+  if (command == "show") {
+    PrintShow(report);
+  } else {
+    std::fputs(report.ToCollapsed().c_str(), stdout);
   }
-
-  if (command == "diff") {
-    std::string baseline_path;
-    std::string candidate_path;
-    tgcrn::obs::ReportDiffOptions options;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--max-regress-pct=", 0) == 0) {
-        options.max_regress_pct = std::atof(arg.c_str() + arg.find('=') + 1);
-      } else if (!arg.empty() && arg[0] == '-') {
-        std::fprintf(stderr, "tgcrn_prof: unknown flag %s\n", arg.c_str());
-        return Usage();
-      } else if (baseline_path.empty()) {
-        baseline_path = arg;
-      } else if (candidate_path.empty()) {
-        candidate_path = arg;
-      } else {
-        return Usage();
-      }
-    }
-    if (baseline_path.empty() || candidate_path.empty()) return Usage();
-
-    tgcrn::obs::ProfReport baseline;
-    tgcrn::obs::ProfReport candidate;
-    if (!LoadProfile(baseline_path, &baseline) ||
-        !LoadProfile(candidate_path, &candidate)) {
-      return 2;
-    }
-    const tgcrn::obs::ReportDiffResult result =
-        tgcrn::obs::DiffProfiles(baseline, candidate, options);
-    tgcrn::TablePrinter table(
-        {"metric", "baseline", "candidate", "delta_pct", "status"});
-    for (const auto& row : result.rows) {
-      const char* status = row.regressed ? "REGRESSED"
-                           : row.gated   ? "ok"
-                                         : "info";
-      table.AddRow({row.metric, tgcrn::TablePrinter::Num(row.baseline, 4),
-                    tgcrn::TablePrinter::Num(row.candidate, 4),
-                    tgcrn::TablePrinter::Num(row.delta_pct, 2), status});
-    }
-    table.Print();
-    if (!result.ok()) {
-      std::fprintf(stderr,
-                   "tgcrn_prof: %lld metric(s) regressed beyond %.6g%%\n",
-                   static_cast<long long>(result.regressions),
-                   options.max_regress_pct);
-      return 1;
-    }
-    std::printf("tgcrn_prof: no regressions (%zu metrics compared)\n",
-                result.rows.size());
-    return 0;
-  }
-
-  return Usage();
+  return 0;
 }

@@ -2,20 +2,20 @@
 // Regression gate over two run-report JSONL files (obs/report.h format):
 //
 //   tgcrn_report_diff baseline.jsonl candidate.jsonl \
-//       [--max-regress-pct=10] [--max-time-regress-pct=<pct|-1>]
+//       [--max-regress-pct 10] [--max-time-regress-pct <pct|-1>]
 //
 // Prints a metric/baseline/candidate/delta table and exits 0 when no gated
 // metric regressed beyond its threshold, 1 on regression, 2 on usage or
-// parse errors. --max-time-regress-pct=-1 reports timing rows without
+// parse errors. --max-time-regress-pct -1 reports timing rows without
 // gating them (for machines with noisy clocks); leaving it unset gates
 // timing at --max-regress-pct. See obs/diff.h for the full gating rules.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/flags.h"
 #include "common/table_printer.h"
 #include "obs/diff.h"
 #include "obs/report.h"
@@ -49,11 +49,11 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: tgcrn_report_diff <baseline.jsonl> <candidate.jsonl>"
-      " [--max-regress-pct=N] [--max-time-regress-pct=N|-1]\n"
-      "  --max-regress-pct=N       allowed worsening for accuracy metrics\n"
+      " [--max-regress-pct N] [--max-time-regress-pct N|-1]\n"
+      "  --max-regress-pct N       allowed worsening for accuracy metrics\n"
       "                            (best val/test MAE-RMSE-MAPE), percent of\n"
       "                            the baseline value (default 10)\n"
-      "  --max-time-regress-pct=N  allowed worsening for timing metrics\n"
+      "  --max-time-regress-pct N  allowed worsening for timing metrics\n"
       "                            (epoch seconds, phase.<name>_s rows);\n"
       "                            unset inherits --max-regress-pct, -1\n"
       "                            reports timing without gating it (noisy\n"
@@ -67,29 +67,14 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  std::string candidate_path;
+  if (argc < 3) return Usage();
+  const std::string baseline_path = argv[1];
+  const std::string candidate_path = argv[2];
   tgcrn::obs::ReportDiffOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    if (arg.rfind("--max-regress-pct=", 0) == 0) {
-      options.max_regress_pct = std::atof(arg.c_str() + eq + 1);
-    } else if (arg.rfind("--max-time-regress-pct=", 0) == 0) {
-      options.max_time_regress_pct = std::atof(arg.c_str() + eq + 1);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "tgcrn_report_diff: unknown flag %s\n",
-                   arg.c_str());
-      return Usage();
-    } else if (baseline_path.empty()) {
-      baseline_path = arg;
-    } else if (candidate_path.empty()) {
-      candidate_path = arg;
-    } else {
-      return Usage();
-    }
-  }
-  if (baseline_path.empty() || candidate_path.empty()) return Usage();
+  tgcrn::Flags flags;
+  flags.Add("--max-regress-pct", &options.max_regress_pct)
+      .Add("--max-time-regress-pct", &options.max_time_regress_pct);
+  if (!flags.Parse(argc, argv, 3)) return Usage();
 
   tgcrn::obs::RunReport baseline;
   tgcrn::obs::RunReport candidate;

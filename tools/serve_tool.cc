@@ -106,15 +106,13 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   server.Run();
   g_server = nullptr;
-  // Same flush a CHECK-failure abort takes: trace + profile + metrics
-  // dump + the telemetry hook (all idempotent; Run already flushed the
-  // access log).
+  // Same flush a CHECK-failure abort takes: profile + metrics dump + the
+  // telemetry hook (all idempotent; Run already flushed the access log).
   tgcrn::obs::FlushObservability();
 
   if (!prof_path.empty()) {
-    if (tgcrn::obs::WriteProfileFiles(prof_path)) {
-      std::printf("profile written to %s (+ %s.collapsed)\n",
-                  prof_path.c_str(), prof_path.c_str());
+    if (tgcrn::obs::WriteProfileFile(prof_path)) {
+      std::printf("profile written to %s\n", prof_path.c_str());
     }
   }
   std::printf("shutdown after %lld requests\n",

@@ -8,7 +8,7 @@
 //       [--input-steps P] [--output-steps Q] [--epochs E] [--hidden H]
 //       [--variant tgcrn|no-tagsl|no-tdl|no-pdf|direct] [--save model.ckpt]
 //       [--seed S] [--lr LR] [--graph-topk K] [--report run.jsonl]
-//       [--trace run.trace.json] [--prof run.prof.json]
+//       [--prof run.prof.json]
 #include <cstdio>
 #include <string>
 
@@ -18,7 +18,6 @@
 #include "core/trainer.h"
 #include "data/csv_loader.h"
 #include "obs/prof.h"
-#include "obs/trace.h"
 
 namespace {
 
@@ -36,7 +35,6 @@ struct Args {
   std::string variant = "tgcrn";
   std::string save_path;
   std::string report_path;
-  std::string trace_path;
   std::string prof_path;
 };
 
@@ -58,7 +56,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       .Add("--variant", &args->variant)
       .Add("--save", &args->save_path)
       .Add("--report", &args->report_path)
-      .Add("--trace", &args->trace_path)
       .Add("--prof", &args->prof_path);
   return flags.Parse(argc, argv, 2) && args->csv.num_nodes > 0 &&
          args->csv.num_features > 0 && args->csv.steps_per_day > 0;
@@ -75,8 +72,7 @@ int main(int argc, char** argv) {
         "  [--input-steps P] [--output-steps Q] [--epochs E] [--hidden H]\n"
         "  [--variant tgcrn|no-tagsl|no-tdl|no-pdf|direct] [--save f.ckpt]\n"
         "  [--seed S] [--lr LR] [--threads T] [--graph-topk K]\n"
-        "  [--report run.jsonl] [--trace run.trace.json]\n"
-        "  [--prof run.prof.json]\n",
+        "  [--report run.jsonl] [--prof run.prof.json]\n",
         argv[0]);
     return 2;
   }
@@ -137,17 +133,10 @@ int main(int argc, char** argv) {
     train.prof.enabled = true;
     train.prof.path = args.prof_path;
   }
-  if (!args.trace_path.empty()) tgcrn::obs::StartTracing(args.trace_path);
   const auto result = tgcrn::core::TrainAndEvaluate(&model, dataset, train);
-  if (!args.trace_path.empty()) {
-    if (tgcrn::obs::StopTracingAndWrite()) {
-      std::printf("trace written to %s\n", args.trace_path.c_str());
-    }
-  }
   if (!args.prof_path.empty()) {
-    if (tgcrn::obs::WriteProfileFiles(args.prof_path)) {
-      std::printf("profile written to %s (+ %s.collapsed)\n",
-                  args.prof_path.c_str(), args.prof_path.c_str());
+    if (tgcrn::obs::WriteProfileFile(args.prof_path)) {
+      std::printf("profile written to %s\n", args.prof_path.c_str());
     }
   }
   if (!args.report_path.empty()) {
