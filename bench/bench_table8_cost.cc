@@ -214,7 +214,8 @@ void Run() {
   // neighbor-limited metro_sim at city-scale N, dense path vs top-k CSR
   // path. The "s/epoch / (N*k)" column is the linearity check: roughly
   // flat for the sparse path (all autograd compute is O(N*k); the
-  // remaining growth is the low-constant O(N^2) no-grad selection scan),
+  // remaining growth is the no-grad selection, whose O(N^2) part is one
+  // E_nu E_nu^T GEMM per forward pass),
   // quadrupling per N-doubling for the dense path. The dense leg stops
   // where [B, N, N] adjacency temporaries stop fitting a sane budget.
   // Every row also lands in bench_results/history/ (ISA-stamped) so the
@@ -235,9 +236,9 @@ void Run() {
     }
     std::printf("\n=== sparse scale-out (TGCRN, 1 epoch, top-k=%lld) ===\n",
                 static_cast<long long>(k));
-    // "select s" splits out the exact-top-k selection scan
-    // (tagsl.SelectTopK inclusive time): it is the only O(N^2) piece of
-    // the sparse path, and it carries no autograd state. It is wall clock:
+    // "select s" splits out the exact top-k selection (tagsl.SelectTopK
+    // inclusive time): it holds the only O(N^2) piece of the sparse path,
+    // and it carries no autograd state. It is wall clock:
     // only the dispatching thread's scope counts, not the copies that
     // pool helpers file under root -> "worker" -> tagsl.SelectTopK. The
     // last column is the linearity check on everything else — the

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -32,8 +33,8 @@ uint32_t Crc32(std::string_view bytes) {
 
 // Every TGCRNConfig field, in file order. The writer and the reader both
 // walk this one list, so they cannot drift apart. An int64 field must be
-// >= its minimum (1 unless given), a float finite, a bool 0 or 1, and
-// the time encoder one of its kinds.
+// >= its minimum (1 unless given), a float finite and >= its minimum (if
+// given), a bool 0 or 1, and the time encoder one of its kinds.
 template <typename Io, typename Config>
 void ConfigFields(Io& io, Config& c) {
   io.Field("num_nodes", c.num_nodes);
@@ -45,7 +46,8 @@ void ConfigFields(Io& io, Config& c) {
   io.Field("node_embed_dim", c.node_embed_dim);
   io.Field("time_embed_dim", c.time_embed_dim);
   io.Field("steps_per_day", c.steps_per_day);
-  io.Field("alpha", c.alpha);
+  // The sparse selection's gate ceiling 1 + alpha assumes alpha >= 0.
+  io.Field("alpha", c.alpha, /*min=*/0.0f);
   io.Field("lambda", c.lambda);
   io.Field("use_tagsl", c.use_tagsl);
   io.Field("use_tdl", c.use_tdl);
@@ -69,8 +71,8 @@ struct Writer {
   void Put(const T& value) {
     Put(&value, 1);
   }
-  template <typename T>
-  void Field(const char* /*name*/, const T& value, int64_t /*min*/ = 1) {
+  template <typename T, typename Min = T>
+  void Field(const char* /*name*/, const T& value, Min /*min*/ = {}) {
     Put(value);
   }
 
@@ -114,9 +116,10 @@ class Reader {
     v = Get<int64_t>();
     Check(v >= min, name);
   }
-  void Field(const char* name, float& v) {
+  void Field(const char* name, float& v,
+             float min = -std::numeric_limits<float>::infinity()) {
     v = Get<float>();
-    Check(std::isfinite(v), name);
+    Check(std::isfinite(v) && v >= min, name);
   }
   void Field(const char* name, bool& v) {
     const uint8_t byte = Get<uint8_t>();

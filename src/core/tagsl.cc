@@ -2,9 +2,13 @@
 #include "core/tagsl.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <iterator>
 #include <memory>
+#include <numeric>
 
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
@@ -23,6 +27,9 @@ TagSL::TagSL(const Options& options, const TimeEncoder* time_encoder,
              Rng* rng)
     : options_(options), time_encoder_(time_encoder) {
   TGCRN_CHECK_GT(options_.num_nodes, 0);
+  // The selection walk's gate ceiling 1 + alpha needs alpha >= 0.
+  TGCRN_CHECK(std::isfinite(options_.alpha) && options_.alpha >= 0.0f)
+      << "TagSL alpha must be finite and >= 0, got " << options_.alpha;
   if (options_.use_time) {
     TGCRN_CHECK(time_encoder_ != nullptr)
         << "TagSL with use_time requires a time encoder";
@@ -83,28 +90,32 @@ ag::Variable TagSL::BuildRawGraph(const ag::Variable& x_t,
 
 namespace {
 
-// Rows per selection tile. The batch-shared E_nu tile and one score tile
-// (2 x kSelectTileRows x N floats, 96 KiB at N = 1024) stay cache
-// resident while they are scored and scanned. Two GEMM register tiles
-// high; the row split never changes a score (gemm_rows is independent of
-// row-block phase).
+// Rows per A_nu tile of the prefix build (kSelectTileRows x N floats,
+// 48 KiB at N = 1024, cache resident while its rows are ranked). Two
+// GEMM register tiles high; the row split never changes a score
+// (gemm_rows is independent of row-block phase).
 constexpr int64_t kSelectTileRows = 2 * gemm::kMr;
-// Score elements (tile rows x N x batch) per ParallelFor chunk: small
-// graphs, e.g. the N = 32 serving models, select on the calling thread.
+// Score elements per ParallelFor chunk (tile rows x N for the prefix
+// build, rows x batch x depth for the walk): small graphs, e.g. the
+// N = 32 serving models, select on the calling thread.
 constexpr int64_t kSelectGrainElems = 65536;
+// Candidates scored per gather_dots / vmath call in the selection walk.
+constexpr int64_t kWalkBlock = 16;
+// Smallest candidate depth of a prefix build (capped at N).
+constexpr int64_t kMinSelectDepth = 32;
 
-// Turns one tile of `len` Eq 6 scores `a_nu` into the relu'd raw scores
-// of Eq 9 for one batch item, in place in `score`, which holds the Eq 8
-// inner products <x_i, x_j> on entry when use_pdf. Each step is a
+// Turns `len` Eq 6 scores `a_nu` into the relu'd raw scores of Eq 9 for
+// one batch item, in place in `score`, which holds the Eq 8 inner
+// products <x_i, x_j> on entry when use_pdf. Each step is a
 // separately rounded operation in the order of the dense path's tensor
 // ops (this file is built with -ffp-contract=off), and vmath is
 // lanewise, so the scores are bit-identical to BuildRawGraph's at each
 // ISA. Adding eta = 0 without use_time can only flip the sign of a zero,
 // which relu erases.
-void ClipTileScores(const float* a_nu, float eta, bool use_pdf,
-                    float pdf_scale, float alpha,
-                    const vmath::internal::Kernels& vmath_kernels,
-                    int64_t len, float* score) {
+void ClipScores(const float* a_nu, float eta, bool use_pdf,
+                float pdf_scale, float alpha,
+                const vmath::internal::Kernels& vmath_kernels, int64_t len,
+                float* score) {
   if (!use_pdf) {
     for (int64_t i = 0; i < len; ++i) {
       const float v = a_nu[i] + eta;
@@ -121,7 +132,356 @@ void ClipTileScores(const float* a_nu, float eta, bool use_pdf,
   }
 }
 
+// Writes the `depth` best columns of `row` (length n >= depth) by (value
+// desc, index asc) into cols, in that rank order, and their values into
+// values. Only entries >= a threshold tau are ranked. With `hint` (the
+// hint_count >= depth columns of this row's previous prefix), tau is
+// the least of their current values, which hint_count entries reach.
+// Otherwise tau is an order statistic of a strided sample, picked so that
+// about 3 * depth entries reach it. If fewer than depth do, every entry
+// is ranked. Either way the depth best entries are all >= tau, so the
+// result is exact. `survivors` and `keys` are n-element scratch,
+// `sample` 2 * depth.
+void RankRowPrefix(const float* row, int64_t n, int64_t depth,
+                   const int32_t* hint, int64_t hint_count,
+                   int32_t* survivors, uint64_t* keys, float* sample,
+                   int32_t* cols, float* values) {
+  bool have_tau = false;
+  float tau = 0.0f;
+  if (hint != nullptr) {
+    tau = row[hint[0]];
+    for (int64_t i = 1; i < hint_count; ++i) tau = std::min(tau, row[hint[i]]);
+    have_tau = true;
+  } else if (n >= 8 * depth) {
+    const int64_t sampled = 2 * depth;
+    const int64_t stride = n / sampled;
+    for (int64_t i = 0; i < sampled; ++i) sample[i] = row[i * stride];
+    const int64_t rank = std::min(
+        sampled, std::max<int64_t>(1, 3 * depth * sampled / n));
+    std::nth_element(sample, sample + rank - 1, sample + sampled,
+                     std::greater<>());
+    tau = sample[rank - 1];
+    have_tau = true;
+  }
+  int64_t count = 0;
+  if (have_tau) {
+    for (int64_t j = 0; j < n; ++j) {
+      survivors[count] = static_cast<int32_t>(j);
+      count += row[j] >= tau ? 1 : 0;
+    }
+  }
+  if (count < depth) {
+    count = n;
+    std::iota(survivors, survivors + n, int32_t{0});
+  }
+  for (int64_t i = 0; i < count; ++i) {
+    keys[i] = graph::RankKey(row[survivors[i]], survivors[i]);
+  }
+  std::nth_element(keys, keys + depth - 1, keys + count, std::greater<>());
+  std::sort(keys, keys + depth, std::greater<>());
+  for (int64_t s = 0; s < depth; ++s) {
+    cols[s] = static_cast<int32_t>(graph::RankKeyColumn(keys[s]));
+    values[s] = row[cols[s]];
+  }
+}
+
+// Sorts k distinct column ids (< 2^31) ascending. Small k places each id
+// at its rank, counted without branches: a std::sort of 16 ids costs as
+// much as the walk that found them.
+void SortKeptIds(int64_t* ids, int64_t k) {
+  constexpr int64_t kMaxCounted = 32;
+  if (k > kMaxCounted) {
+    std::sort(ids, ids + k);
+    return;
+  }
+  int32_t cols[kMaxCounted];
+  for (int64_t i = 0; i < k; ++i) cols[i] = static_cast<int32_t>(ids[i]);
+  for (int64_t i = 0; i < k; ++i) {
+    int32_t rank = 0;
+    for (int64_t j = 0; j < k; ++j) rank += cols[j] < cols[i] ? 1 : 0;
+    ids[rank] = cols[i];
+  }
+}
+
 }  // namespace
+
+// Each row's `depth` best columns by A_nu, ranked (value desc, index asc),
+// with their A_nu values: the order the selection walk visits them in. A
+// pure function of E_nu's bits, the ISA (the GEMM rounds per ISA) and the
+// depth, so a cached copy serves every call until one of them changes.
+struct SelectPrefix {
+  common::SimdIsa isa;
+  int64_t depth;                // candidates per row, <= N
+  std::vector<float> embed;     // the E_nu [N, d_nu] it was built from
+  std::vector<float> packed_e;  // E_nu^T, packed for gemm_rows
+  std::vector<int32_t> cols;    // [N, depth] candidate columns
+  std::vector<float> a_nu;      // [N, depth] their Eq 6 scores
+};
+
+std::shared_ptr<const SelectPrefix> TagSL::AcquireSelectPrefix(
+    common::SimdIsa isa, int64_t kept, bool* built) const {
+  const int64_t n = options_.num_nodes;
+  const int64_t d_nu = options_.node_dim;
+  const float* embed = node_embedding_.value().data();
+  const size_t embed_count = static_cast<size_t>(n * d_nu);
+  std::lock_guard<std::mutex> lock(select_mu_);
+  if (kept != select_kept_) {
+    select_kept_ = kept;
+    select_depth_ = std::max(kMinSelectDepth, 4 * kept);
+  }
+  const int64_t depth = std::min(n, select_depth_);
+  *built = false;
+  if (select_prefix_ != nullptr && select_prefix_->isa == isa &&
+      select_prefix_->depth == depth &&
+      std::memcmp(select_prefix_->embed.data(), embed,
+                  embed_count * sizeof(float)) == 0) {
+    return select_prefix_;
+  }
+  // The prefix being replaced seeds each row's threshold when it is at
+  // least as deep.
+  const std::shared_ptr<const SelectPrefix> previous =
+      select_prefix_ != nullptr && select_prefix_->depth >= depth
+          ? select_prefix_
+          : nullptr;
+  auto prefix = std::make_shared<SelectPrefix>();
+  prefix->isa = isa;
+  prefix->depth = depth;
+  prefix->embed.assign(embed, embed + embed_count);
+  const gemm::Kernels& gemm_kernels = gemm::GetKernels(isa);
+  prefix->packed_e.resize(gemm::PackedBCount(d_nu, n));
+  gemm_kernels.pack_b(embed, d_nu, n, /*transpose_b=*/true,
+                      prefix->packed_e.data());
+  prefix->cols.resize(n * depth);
+  prefix->a_nu.resize(n * depth);
+
+  // A_nu in row tiles by gemm_rows, whose bits do not depend on the
+  // row-block phase (so they equal the fallback's one-row calls), each
+  // row cut to its top `depth` in rank order.
+  const int64_t num_tiles = (n + kSelectTileRows - 1) / kSelectTileRows;
+  const int64_t tile_grain =
+      std::max<int64_t>(1, kSelectGrainElems / (kSelectTileRows * n));
+  common::ParallelFor(0, num_tiles, tile_grain, [&](int64_t t0, int64_t t1) {
+    std::vector<float> a_tile(kSelectTileRows * n);
+    std::vector<int32_t> survivors(n);
+    std::vector<uint64_t> keys(n);
+    std::vector<float> sample(2 * depth);
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t r0 = t * kSelectTileRows;
+      const int64_t rows = std::min(kSelectTileRows, n - r0);
+      gemm_kernels.gemm_rows(embed + r0 * d_nu, d_nu, 1,
+                             prefix->packed_e.data(), 0, rows, d_nu, n,
+                             a_tile.data());
+      for (int64_t r = 0; r < rows; ++r) {
+        const int32_t* hint =
+            previous != nullptr
+                ? previous->cols.data() + (r0 + r) * previous->depth
+                : nullptr;
+        RankRowPrefix(a_tile.data() + r * n, n, depth, hint,
+                      previous != nullptr ? previous->depth : 0,
+                      survivors.data(), keys.data(), sample.data(),
+                      prefix->cols.data() + (r0 + r) * depth,
+                      prefix->a_nu.data() + (r0 + r) * depth);
+      }
+    }
+  });
+  select_prefix_ = prefix;
+  *built = true;
+  return prefix;
+}
+
+void TagSL::SelectTopK(const float* x, int64_t batch, int64_t channels,
+                       const float* eta, int64_t kept,
+                       int64_t* col_ids) const {
+  TGCRN_TRACE_SCOPE("tagsl.SelectTopK");
+  const int64_t n = options_.num_nodes;
+  const int64_t d_nu = options_.node_dim;
+  const int64_t nnz = n * kept;
+  const bool use_pdf = options_.use_pdf;
+  // Candidate columns and gather_dots offsets are int32.
+  TGCRN_CHECK_LT(n * std::max<int64_t>(channels, 1), int64_t{1} << 31);
+  // Operand reads plus the kept ids written; the walk adds its own below.
+  double bytes = 4.0 * static_cast<double>(n) *
+                     (static_cast<double>(d_nu) +
+                      static_cast<double>(batch) *
+                          static_cast<double>(channels)) +
+                 8.0 * static_cast<double>(batch) * static_cast<double>(nnz);
+  if (kept == n) {
+    // Every column is kept: TopKRow's answer for k = N, with no scores.
+    for (int64_t i = 0; i < batch * n; ++i) {
+      std::iota(col_ids + i * n, col_ids + (i + 1) * n, int64_t{0});
+    }
+    obs::RecordKernelCost("tagsl.SelectTopK", 0.0, bytes);
+    return;
+  }
+
+  const common::SimdIsa isa = common::ActiveSimdIsa();
+  const gemm::Kernels& gemm_kernels = gemm::GetKernels(isa);
+  const vmath::internal::Kernels& vmath_kernels =
+      vmath::GetVmathKernels(isa);
+  bool built = false;
+  const std::shared_ptr<const SelectPrefix> prefix =
+      AcquireSelectPrefix(isa, kept, &built);
+  const int64_t depth = prefix->depth;
+  const float pdf_scale = 1.0f / std::sqrt(static_cast<float>(channels));
+  const float alpha = options_.alpha;
+  // The gate sigmoid(.) * alpha + 1 of a score is at most this ceiling:
+  // sigmoid(.) <= 1 and alpha >= 0, and IEEE rounding is monotone.
+  const float gate_max = alpha + 1.0f;
+
+  // Each x_b^T packed once per call for rows that fall back to the full
+  // scan, which a prefix covering every column never needs.
+  const bool can_fall_back = depth < n;
+  const int64_t packed_x_count =
+      use_pdf && can_fall_back ? gemm::PackedBCount(channels, n) : 0;
+  std::shared_ptr<std::vector<float>> packed;
+  if (packed_x_count > 0) {
+    packed = TensorBufferPool::Global().AcquireForOverwrite(batch *
+                                                            packed_x_count);
+    for (int64_t b = 0; b < batch; ++b) {
+      gemm_kernels.pack_b(x + b * n * channels, channels, n,
+                          /*transpose_b=*/true,
+                          packed->data() + b * packed_x_count);
+    }
+  }
+
+  std::atomic<int64_t> scored{0};
+  std::atomic<int64_t> fallbacks{0};
+  const int64_t row_grain =
+      std::max<int64_t>(1, kSelectGrainElems / (batch * depth));
+  common::ParallelFor(0, n, row_grain, [&](int64_t r0, int64_t r1) {
+    float block[kWalkBlock];
+    std::shared_ptr<std::vector<float>> full;  // fallback A_nu + score rows
+    int64_t full_row = -1;                      // row whose A_nu is in full
+    int64_t chunk_scored = 0;
+    int64_t chunk_fallbacks = 0;
+    const uint64_t zero_key = graph::RankKey(0.0f, 0);
+    for (int64_t r = r0; r < r1; ++r) {
+      const int32_t* cand = prefix->cols.data() + r * depth;
+      const float* cand_a = prefix->a_nu.data() + r * depth;
+      for (int64_t b = 0; b < batch; ++b) {
+        const float eta_b = eta != nullptr ? eta[b] : 0.0f;
+        const float* xb = x + b * n * channels;
+        int64_t* ids = col_ids + b * nnz + r * kept;
+        // Min-heap of the kept rank keys in `ids` itself; the root is the
+        // worst kept column.
+        uint64_t* heap = reinterpret_cast<uint64_t*>(ids);
+        int64_t filled = 0;
+        bool closed = false;
+        bool all_zero = false;  // every unvisited score is exactly 0
+        int64_t block_begin = 0;
+        int64_t block_end = 0;  // candidates [block_begin, block_end) scored
+        for (int64_t t = 0; t < depth; ++t) {
+          // Candidates arrive in non-increasing A_nu, so this ceiling
+          // bounds the score of candidate t and of every column after it.
+          const float shifted = cand_a[t] + eta_b;
+          const float bound = use_pdf ? gate_max * shifted : shifted;
+          if (bound <= 0.0f) {
+            all_zero = true;
+            break;
+          }
+          if (filled == kept && graph::RankKey(bound, 0) < heap[0]) {
+            closed = true;
+            break;
+          }
+          if (t == block_end) {
+            block_begin = t;
+            block_end = std::min(depth, t + kWalkBlock);
+            const int64_t len = block_end - block_begin;
+            if (use_pdf) {
+              gemm_kernels.gather_dots(xb + r * channels, xb, cand + t, len,
+                                       channels, block);
+            }
+            ClipScores(cand_a + t, eta_b, use_pdf, pdf_scale, alpha,
+                           vmath_kernels, len, block);
+            chunk_scored += len;
+          }
+          const uint64_t key = graph::RankKey(block[t - block_begin], cand[t]);
+          if (filled < kept) {
+            heap[filled++] = key;
+            if (filled == kept) graph::HeapifyRankKeys(heap, kept);
+          } else if (key > heap[0]) {
+            graph::SiftDownRankKey(heap, kept, 0, key);
+          }
+        }
+        if (all_zero) {
+          // The positive kept scores stay; zeros rank by index, so the
+          // lowest-index columns outside them fill the remaining slots.
+          int64_t positive = 0;
+          for (int64_t s = 0; s < filled; ++s) {
+            if (heap[s] > zero_key) {
+              ids[positive++] = graph::RankKeyColumn(heap[s]);
+            }
+          }
+          SortKeptIds(ids, positive);
+          int64_t next = positive;
+          for (int64_t c = 0, q = 0; next < kept; ++c) {
+            if (q < positive && ids[q] == c) {
+              ++q;
+            } else {
+              ids[next++] = c;
+            }
+          }
+          SortKeptIds(ids, kept);
+        } else if (closed || !can_fall_back) {
+          for (int64_t s = 0; s < kept; ++s) {
+            ids[s] = graph::RankKeyColumn(heap[s]);
+          }
+          SortKeptIds(ids, kept);
+        } else {
+          // The bound did not close within the prefix: the full-row scan
+          // for this row and item alone.
+          if (full == nullptr) {
+            full = TensorBufferPool::Global().AcquireForOverwrite(2 * n);
+          }
+          float* a_row = full->data();
+          float* score = a_row + n;
+          if (full_row != r) {
+            gemm_kernels.gemm_rows(prefix->embed.data() + r * d_nu, d_nu, 1,
+                                   prefix->packed_e.data(), 0, 1, d_nu, n,
+                                   a_row);
+            full_row = r;
+          }
+          if (use_pdf) {
+            gemm_kernels.gemm_rows(xb + r * channels, channels, 1,
+                                   packed->data() + b * packed_x_count, 0,
+                                   1, channels, n, score);
+          }
+          ClipScores(a_row, eta_b, use_pdf, pdf_scale, alpha,
+                         vmath_kernels, n, score);
+          graph::TopKRow(score, n, kept, ids);
+          ++chunk_fallbacks;
+        }
+      }
+    }
+    scored += chunk_scored;
+    fallbacks += chunk_fallbacks;
+  });
+
+  // Analytic cost: the prefix build when this call made one (the E_nu
+  // GEMM and one selection pass per row), each scored candidate (the
+  // C-dot when use_pdf, the gate and the bound) and each fallback row's
+  // full recompute. The counts are pure functions of the inputs, so the
+  // model is thread-count invariant.
+  const double dn = static_cast<double>(n);
+  const double pdf_flops = use_pdf ? 2.0 * static_cast<double>(channels) : 0.0;
+  double flops =
+      static_cast<double>(scored.load()) * (pdf_flops + 6.0) +
+      static_cast<double>(fallbacks.load()) * dn *
+          (2.0 * static_cast<double>(d_nu) + pdf_flops + 4.0);
+  bytes += 8.0 * static_cast<double>(scored.load());
+  if (built) {
+    flops += dn * dn * (2.0 * static_cast<double>(d_nu) + 1.0);
+    bytes += 8.0 * dn * static_cast<double>(depth);
+  }
+  obs::RecordKernelCost("tagsl.SelectTopK", flops, bytes);
+
+  // Deepen the next prefix while the fallback rows' full scans (N columns
+  // each) outweigh the walks' whole candidate budget (B x N x depth).
+  if (can_fall_back && fallbacks.load() * n > batch * n * depth) {
+    std::lock_guard<std::mutex> lock(select_mu_);
+    if (select_prefix_ == prefix) select_depth_ = 2 * depth;
+  }
+}
 
 ag::SparseGraph TagSL::BuildSparseGraph(
     const ag::Variable& x_t, const std::vector<int64_t>& slots,
@@ -156,83 +516,9 @@ ag::SparseGraph TagSL::BuildSparseGraph(
   index->slot_rows.resize(nnz);
   for (int64_t s = 0; s < nnz; ++s) index->slot_rows[s] = s / kept;
   index->col_ids.resize(batch * nnz);
-  {
-    TGCRN_TRACE_SCOPE("tagsl.SelectTopK");
-    const int64_t d_nu = options_.node_dim;
-    const bool use_pdf = options_.use_pdf;
-    // Shape-only analytic cost: one raw-score recompute per entry (the
-    // d_nu-dot is hoisted per tile, the C-dot runs per batch item) plus
-    // the selection scan. Score tiles never leave cache, so the logical
-    // traffic is the operands and the kept ids.
-    obs::RecordKernelCost(
-        "tagsl.SelectTopK",
-        static_cast<double>(batch) * static_cast<double>(n) *
-            static_cast<double>(n) *
-            (2.0 * static_cast<double>(d_nu) +
-             (use_pdf ? 2.0 * static_cast<double>(channels) : 0.0) + 4.0),
-        4.0 * static_cast<double>(n) *
-                (static_cast<double>(d_nu) +
-                 static_cast<double>(batch) * static_cast<double>(channels)) +
-            8.0 * static_cast<double>(batch) * static_cast<double>(nnz));
-    const common::SimdIsa isa = common::ActiveSimdIsa();
-    const gemm::Kernels& gemm_kernels = gemm::GetKernels(isa);
-    const vmath::internal::Kernels& vmath_kernels =
-        vmath::GetVmathKernels(isa);
-    const float* embed = node_embedding_.value().data();  // [N, d_nu]
-    const float* x = x_t.value().data();                  // [B, N, C]
-    const float* eta_data =
-        options_.use_time ? eta.value().data() : nullptr;
-
-    // E_nu^T once per call, each x_b^T once per batch item.
-    const int64_t packed_e_count = gemm::PackedBCount(d_nu, n);
-    const int64_t packed_x_count =
-        use_pdf ? gemm::PackedBCount(channels, n) : 0;
-    const auto packed = TensorBufferPool::Global().AcquireForOverwrite(
-        packed_e_count + batch * packed_x_count);
-    float* packed_e = packed->data();
-    float* packed_x = packed_e + packed_e_count;
-    gemm_kernels.pack_b(embed, d_nu, n, /*transpose_b=*/true, packed_e);
-    for (int64_t b = 0; use_pdf && b < batch; ++b) {
-      gemm_kernels.pack_b(x + b * n * channels, channels, n,
-                          /*transpose_b=*/true, packed_x + b * packed_x_count);
-    }
-
-    const int64_t num_tiles = (n + kSelectTileRows - 1) / kSelectTileRows;
-    const int64_t tile_grain = std::max<int64_t>(
-        1, kSelectGrainElems / (kSelectTileRows * n * batch));
-    common::ParallelFor(0, num_tiles, tile_grain, [&](int64_t t0,
-                                                      int64_t t1) {
-      const auto scratch = TensorBufferPool::Global().AcquireForOverwrite(
-          2 * kSelectTileRows * n);
-      float* a_nu = scratch->data();
-      float* score = a_nu + kSelectTileRows * n;
-      for (int64_t t = t0; t < t1; ++t) {
-        const int64_t r0 = t * kSelectTileRows;
-        const int64_t rows = std::min(kSelectTileRows, n - r0);
-        // Eq 6 tile: <E_nu[r0:r0+rows], E_nu^T>, batch-independent.
-        gemm_kernels.gemm_rows(embed + r0 * d_nu, d_nu, 1, packed_e, 0, rows,
-                               d_nu, n, a_nu);
-        for (int64_t b = 0; b < batch; ++b) {
-          if (use_pdf) {
-            // Eq 8 tile: <x_b[rows], x_b^T>.
-            gemm_kernels.gemm_rows(x + (b * n + r0) * channels, channels, 1,
-                                   packed_x + b * packed_x_count, 0, rows,
-                                   channels, n, score);
-          }
-          ClipTileScores(a_nu, eta_data != nullptr ? eta_data[b] : 0.0f,
-                         use_pdf, pdf_scale, options_.alpha, vmath_kernels,
-                         rows * n, score);
-          // Relu ties (clipped entries) break on the lower column id, the
-          // same total order graph::SparsifyTopK applies to the dense
-          // softmax; softmax is strictly monotone, so the kept sets match.
-          int64_t* ids = index->col_ids.data() + b * nnz + r0 * kept;
-          for (int64_t r = 0; r < rows; ++r) {
-            graph::TopKRow(score + r * n, n, kept, ids + r * kept);
-          }
-        }
-      }
-    });
-  }
+  SelectTopK(x_t.value().data(), batch, channels,
+             options_.use_time ? eta.value().data() : nullptr, kept,
+             index->col_ids.data());
 
   // --- Stage 2: differentiable kept-edge logits ---------------------------
   // Flat gather ids over the kept edges, in (batch, row, slot) order.

@@ -14,10 +14,13 @@
 #ifndef TGCRN_CORE_TAGSL_H_
 #define TGCRN_CORE_TAGSL_H_
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/sparse_ops.h"
+#include "common/cpu_features.h"
 #include "core/time_encoders.h"
 #include "nn/module.h"
 #include "obs/report.h"
@@ -40,12 +43,15 @@ struct GraphTopKState {
   std::vector<std::vector<int64_t>> topk_ids;
 };
 
+// The candidate order of the sparse selection walk (defined in tagsl.cc).
+struct SelectPrefix;
+
 class TagSL : public nn::Module {
  public:
   struct Options {
     int64_t num_nodes = 0;
     int64_t node_dim = 12;       // d_nu
-    float alpha = 0.3f;          // saturation factor of the PDF (Eq 9)
+    float alpha = 0.3f;          // PDF saturation factor (Eq 9), >= 0
     bool use_time = true;        // include eta_t (false => self-learning)
     bool use_pdf = true;         // include the periodic discriminant
   };
@@ -67,22 +73,24 @@ class TagSL : public nn::Module {
                              const std::vector<int64_t>& prev_slots) const;
 
   // Sparse top-k variant of BuildGraph (the TGCRN_GRAPH_TOPK execution
-  // path). Two stages: (1) an exact no-grad selection pass computes the
-  // raw scores in small cache-resident row tiles (E_nu E_nu^T once per
-  // tile, x x^T per batch item, the Eq 8-9 gate and relu in place) and
-  // streams each row into graph::TopKRow, keeping its k largest relu'd
-  // logits (value-descending, index-ascending tie-breaks — the same
-  // ranking graph::SparsifyTopK applies to the dense softmax, since
-  // softmax is strictly monotone); (2) only the B*N*k kept-edge logits are
-  // recomputed differentiably (gathers + dots) and row-softmaxed, which
-  // equals the dense softmax renormalized over the kept entries — so
-  // gradients reach E_nu, the time encoder and x_t through the kept edges
-  // and dropped edges get exactly zero gradient (the sparse-training
-  // contract, autograd/sparse_ops.h). Autograd memory and compute are
-  // O(B*N*k); only the selection scan (gradient-free, with O(tile*N)
-  // scratch and no N^2 temporaries) remains O(N^2). All-zero rows
-  // degrade to uniform over the kept set, matching graph::SparsifyTopK's
-  // fallback.
+  // path). Two stages: (1) an exact no-grad selection keeps each row's k
+  // largest relu'd logits (value-descending, index-ascending tie-breaks —
+  // the same ranking graph::SparsifyTopK applies to the dense softmax,
+  // since softmax is strictly monotone). It walks each row's columns in
+  // descending A_nu order, scoring only the visited candidates, and stops
+  // once (1 + alpha) * (A_nu + eta_t), a ceiling on every unvisited score,
+  // falls strictly below the k-th kept score; the order is cached until
+  // E_nu changes, and a row the walk cannot close is scanned in full.
+  // The kept set is bitwise the full scan's. (2) Only the B*N*k kept-edge
+  // logits are recomputed differentiably (gathers + dots) and
+  // row-softmaxed, which equals the dense softmax renormalized over the
+  // kept entries — so gradients reach E_nu, the time encoder and x_t
+  // through the kept edges and dropped edges get exactly zero gradient
+  // (the sparse-training contract, autograd/sparse_ops.h). Autograd
+  // memory and compute are O(B*N*k); the selection builds its O(N^2)
+  // A_nu once per E_nu and otherwise scores a few candidates per row.
+  // All-zero rows degrade to uniform over the kept set, matching
+  // graph::SparsifyTopK's fallback.
   ag::SparseGraph BuildSparseGraph(const ag::Variable& x_t,
                                    const std::vector<int64_t>& slots,
                                    const std::vector<int64_t>& prev_slots,
@@ -112,9 +120,30 @@ class TagSL : public nn::Module {
   const Options& options() const { return options_; }
 
  private:
+  // Stage 1 of BuildSparseGraph: writes the kept column ids of every
+  // (item, row) of x [B, N, C] into col_ids (CsrIndex::col_ids layout).
+  // eta is the [B] trend factor, or null without use_time.
+  void SelectTopK(const float* x, int64_t batch, int64_t channels,
+                  const float* eta, int64_t kept, int64_t* col_ids) const;
+  // The walk's candidate prefix for the current E_nu, the ISA and the
+  // depth for `kept`: the cached one while all three match, else a fresh
+  // build (*built).
+  std::shared_ptr<const SelectPrefix> AcquireSelectPrefix(
+      common::SimdIsa isa, int64_t kept, bool* built) const;
+
   Options options_;
   const TimeEncoder* time_encoder_;
   ag::Variable node_embedding_;  // E_nu [N, d_nu]
+
+  // Selection-walk cache. The prefix is immutable once built; a call
+  // holds its own reference, so a rebuild never pulls it from under a
+  // running walk. select_depth_ is the candidate depth for k =
+  // select_kept_: it starts at 4k (at least 32) and doubles while rows
+  // keep falling back, which rebuilds the prefix on the next call.
+  mutable std::mutex select_mu_;
+  mutable std::shared_ptr<const SelectPrefix> select_prefix_;
+  mutable int64_t select_kept_ = 0;
+  mutable int64_t select_depth_ = 0;
 };
 
 }  // namespace core

@@ -2,7 +2,9 @@
 #include "data/csv_loader.h"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 namespace tgcrn {
@@ -33,6 +35,14 @@ bool ParseDouble(const std::string& field, double* out) {
   while (begin < end && (*begin == ' ' || *begin == '\t')) ++begin;
   const auto result = std::from_chars(begin, end, *out);
   return result.ec == std::errc() && result.ptr == end;
+}
+
+constexpr double kFloatMax = std::numeric_limits<float>::max();
+
+// "path:line: column c" (1-based column), the prefix of a cell's error.
+std::string CellWhere(const std::string& path, int64_t line, size_t field) {
+  return path + ":" + std::to_string(line) + ": column " +
+         std::to_string(field + 1);
 }
 
 }  // namespace
@@ -72,7 +82,9 @@ Result<SpatioTemporalData> LoadCsv(const std::string& path,
           std::to_string(fields.size()));
     }
     double slot = 0, day = 0;
-    if (!ParseDouble(fields[1], &slot) || !ParseDouble(fields[2], &day)) {
+    // std::from_chars accepts "nan" and "inf"; no cell may hold them.
+    if (!ParseDouble(fields[1], &slot) || !ParseDouble(fields[2], &day) ||
+        !std::isfinite(slot) || !std::isfinite(day)) {
       return Status::InvalidArgument(
           path + ":" + std::to_string(line_number) +
           ": unparsable calendar fields");
@@ -92,9 +104,16 @@ Result<SpatioTemporalData> LoadCsv(const std::string& path,
     for (size_t f = 3; f < fields.size(); ++f) {
       double v = 0.0;
       if (!ParseDouble(fields[f], &v)) {
-        return Status::InvalidArgument(
-            path + ":" + std::to_string(line_number) + ": field " +
-            std::to_string(f) + " is not numeric: '" + fields[f] + "'");
+        return Status::InvalidArgument(CellWhere(path, line_number, f) +
+                                       " is not numeric: '" + fields[f] +
+                                       "'");
+      }
+      // Checked before the float conversion: 1e39 parses as a double but
+      // is out of float range.
+      if (!std::isfinite(v) || std::fabs(v) > kFloatMax) {
+        return Status::InvalidArgument(CellWhere(path, line_number, f) +
+                                       " is not a finite float: '" +
+                                       fields[f] + "'");
       }
       values.push_back(static_cast<float>(v));
     }

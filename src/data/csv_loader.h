@@ -26,8 +26,9 @@ struct CsvLoadOptions {
 };
 
 // Parses the file at `path` into a SpatioTemporalData. Validates column
-// counts, calendar ranges (slot in [0, steps_per_day), day in [0, 7)) and
-// numeric parse failures.
+// counts, calendar ranges (slot in [0, steps_per_day), day in [0, 7)),
+// numeric parse failures and non-finite cells (nan, inf, or a value that
+// overflows a float), naming the line and column of the bad cell.
 Result<SpatioTemporalData> LoadCsv(const std::string& path,
                                    const CsvLoadOptions& options);
 

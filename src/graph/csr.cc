@@ -2,7 +2,6 @@
 #include "graph/csr.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -18,24 +17,8 @@ namespace {
 // it never affects results.
 constexpr int64_t kSparsifyGrainElems = 16384;
 
-// TopKRow ranks a column by one 64-bit key, so a larger key ranks higher
-// under (value desc, index asc). The high half maps the value's bits to
-// an unsigned integer that orders like the value, with -0.0 folded onto
-// +0.0 since they compare equal. The low half is the complemented column
-// index: among equal values the lower index ranks higher.
+// Columns TopKRow can rank: the key keeps 32 bits of column index.
 constexpr int64_t kMaxRankedColumns = int64_t{1} << 32;
-
-uint64_t RankKey(float value, int64_t column) {
-  const uint32_t bits = std::bit_cast<uint32_t>(value + 0.0f);
-  const uint32_t ordered =
-      (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
-  return uint64_t{ordered} << 32 |
-         (0xFFFFFFFFu - static_cast<uint32_t>(column));
-}
-
-int64_t KeyColumn(uint64_t key) {
-  return 0xFFFFFFFFu - static_cast<uint32_t>(key);
-}
 
 }  // namespace
 
@@ -93,29 +76,18 @@ void TopKRow(const float* row, int64_t n, int64_t k, int64_t* out) {
   // out[0..k) holds the kept columns' rank keys as a min-heap: the root is
   // the worst kept column.
   uint64_t* heap = reinterpret_cast<uint64_t*>(out);
-  const auto sift_down = [heap, k](int64_t i, uint64_t key) {
-    for (;;) {
-      int64_t child = 2 * i + 1;
-      if (child >= k) break;
-      if (child + 1 < k) child += heap[child + 1] < heap[child];
-      if (heap[child] >= key) break;
-      heap[i] = heap[child];
-      i = child;
-    }
-    heap[i] = key;
-  };
   for (int64_t j = 0; j < k; ++j) heap[j] = RankKey(row[j], j);
-  for (int64_t i = k / 2 - 1; i >= 0; --i) sift_down(i, heap[i]);
+  HeapifyRankKeys(heap, k);
   // Columns arrive in ascending order, so a later column equal to the
   // root ranks below it: only a strictly larger value is admitted.
-  float threshold = row[KeyColumn(heap[0])];
+  float threshold = row[RankKeyColumn(heap[0])];
   for (int64_t j = k; j < n; ++j) {
     if (row[j] > threshold) {
-      sift_down(0, RankKey(row[j], j));
-      threshold = row[KeyColumn(heap[0])];
+      SiftDownRankKey(heap, k, 0, RankKey(row[j], j));
+      threshold = row[RankKeyColumn(heap[0])];
     }
   }
-  for (int64_t s = 0; s < k; ++s) out[s] = KeyColumn(heap[s]);
+  for (int64_t s = 0; s < k; ++s) out[s] = RankKeyColumn(heap[s]);
   std::sort(out, out + k);  // ascending column order fixes the slot layout
 }
 

@@ -22,6 +22,7 @@
 #ifndef TGCRN_GRAPH_CSR_H_
 #define TGCRN_GRAPH_CSR_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -73,6 +74,44 @@ struct CsrBatch {
 
   bool defined() const { return index != nullptr; }
 };
+
+// The top-k ranking as one 64-bit key, so a larger key ranks higher
+// under (value desc, index asc). The high half maps the value's bits to
+// an unsigned integer that orders like the value, with -0.0 folded onto
+// +0.0 since they compare equal. The low half is the complemented column
+// index: among equal values the lower index ranks higher.
+inline uint64_t RankKey(float value, int64_t column) {
+  const uint32_t bits = std::bit_cast<uint32_t>(value + 0.0f);
+  const uint32_t ordered =
+      (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+  return uint64_t{ordered} << 32 |
+         (0xFFFFFFFFu - static_cast<uint32_t>(column));
+}
+
+inline int64_t RankKeyColumn(uint64_t key) {
+  return 0xFFFFFFFFu - static_cast<uint32_t>(key);
+}
+
+// Bounded top-k as a min-heap of rank keys heap[0..k), the root the worst
+// kept key. Stores `key` at slot i and sifts it down; with i = 0 this
+// replaces the root.
+inline void SiftDownRankKey(uint64_t* heap, int64_t k, int64_t i,
+                            uint64_t key) {
+  for (;;) {
+    int64_t child = 2 * i + 1;
+    if (child >= k) break;
+    if (child + 1 < k) child += heap[child + 1] < heap[child];
+    if (heap[child] >= key) break;
+    heap[i] = heap[child];
+    i = child;
+  }
+  heap[i] = key;
+}
+
+// Orders heap[0..k) into that min-heap.
+inline void HeapifyRankKeys(uint64_t* heap, int64_t k) {
+  for (int64_t i = k / 2 - 1; i >= 0; --i) SiftDownRankKey(heap, k, i, heap[i]);
+}
 
 // Writes the column ids of the min(k, n) largest entries of `row`
 // (length n < 2^32, no NaN) into `out`, ranked by (value descending,

@@ -9,7 +9,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -56,6 +60,53 @@ int16_t OpCode(const std::string& op) {
 }
 
 int64_t NowNs() { return obs::internal::TraceNowNs(); }
+
+// Appends one observe value; false unless it is a number that is finite
+// as a float (null, strings, 1e39 and the like are refused, not coerced).
+bool AppendValue(const obs::Json& value, std::vector<float>* out) {
+  if (!value.is_number()) return false;
+  const double v = value.AsDouble();
+  if (!std::isfinite(v) ||
+      std::fabs(v) > std::numeric_limits<float>::max()) {
+    return false;
+  }
+  out->push_back(static_cast<float>(v));
+  return true;
+}
+
+// Parses an observe's "values": nested [N][d] rows (the documented form)
+// or a flat [N*d] list. Returns the error to answer with, or "" after
+// filling `out`. Rows must all be arrays of one length.
+std::string ParseObserveValues(const obs::Json& values,
+                               std::vector<float>* out) {
+  if (!values.is_array() || values.size() == 0) {
+    return "observe needs a non-empty values array";
+  }
+  if (!values.at(0).is_array()) {
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (!AppendValue(values.at(i), out)) {
+        return "observe values[" + std::to_string(i) +
+               "] is not a finite number";
+      }
+    }
+    return "";
+  }
+  const size_t width = values.at(0).size();
+  for (size_t row = 0; row < values.size(); ++row) {
+    const obs::Json& cols = values.at(row);
+    if (!cols.is_array() || cols.size() != width) {
+      return "observe values rows must be arrays of one length (row " +
+             std::to_string(row) + ")";
+    }
+    for (size_t col = 0; col < width; ++col) {
+      if (!AppendValue(cols.at(col), out)) {
+        return "observe values[" + std::to_string(row) + "][" +
+               std::to_string(col) + "] is not a finite number";
+      }
+    }
+  }
+  return "";
+}
 
 }  // namespace
 
@@ -182,25 +233,7 @@ void Server::ParseLines(size_t index, std::vector<Request>* requests) {
     request.id = body.GetInt("id");
     request.client_id = request.id > 0;
     if (request.op == "observe") {
-      const obs::Json& values = body["values"];
-      if (!values.is_array() || values.size() == 0) {
-        request.error = "observe needs a non-empty values array";
-      } else if (values.at(0).is_array()) {
-        // Nested [N][d] rows (the documented form).
-        for (size_t row = 0; row < values.size(); ++row) {
-          const obs::Json& cols = values.at(row);
-          for (size_t col = 0; col < cols.size(); ++col) {
-            request.values.push_back(
-                static_cast<float>(cols.at(col).AsDouble()));
-          }
-        }
-      } else {
-        // Flat [N*d] also accepted.
-        for (size_t i = 0; i < values.size(); ++i) {
-          request.values.push_back(
-              static_cast<float>(values.at(i).AsDouble()));
-        }
-      }
+      request.error = ParseObserveValues(body["values"], &request.values);
     }
     if (tracing_) {
       request.trace.id =

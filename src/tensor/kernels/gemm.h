@@ -23,6 +23,9 @@
 //    the whole multiply: direct reads B (k x n) row-major in place;
 //    dot computes c[i][j] = <a_row_i, b_row_j> from two row-major
 //    operands (the m=1 GCGRU backward shape).
+//  * gather_dots: single elements of one output row against gathered
+//    columns, rounded exactly as gemm_rows rounds them (the sparse
+//    TagSL selection walk scores only the candidates it visits).
 //
 // Determinism: per output element, every kernel accumulates over the
 // reduce dim in ascending k order with a structure that depends only on
@@ -93,6 +96,13 @@ struct Kernels {
   void (*m1_batch)(const float* a, const int64_t* a_mats, int64_t a_elems,
                    const float* b, const int64_t* b_mats, int64_t b_elems,
                    int64_t mat0, int64_t mat1, int64_t k, int64_t n, float* c);
+  // c[u] = sum_kk a[kk] * b[cols[u] * k + kk] for u in [0, count): the
+  // elements (i, cols[u]) of A * B^T for one row a of A and a row-major
+  // (n x k) B with n * k < 2^31. Each element is bitwise equal to the one
+  // gemm_rows computes against pack_b(B, transpose_b=true), because it
+  // runs the same ascending-k chain from zero (FMA under AVX2).
+  void (*gather_dots)(const float* a, const float* b, const int32_t* cols,
+                      int64_t count, int64_t k, float* c);
 };
 
 // Table for `isa`; silently degrades to the scalar table when the AVX2

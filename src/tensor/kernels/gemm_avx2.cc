@@ -17,6 +17,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace tgcrn {
 namespace gemm {
@@ -270,12 +271,39 @@ void M1BatchAvx2(const float* a, const int64_t* a_mats, int64_t a_elems,
   }
 }
 
+// Eight gathered columns per ymm, one FMA chain per lane from zero over
+// ascending k: per element the arithmetic of MicroPanel. The ragged tail
+// runs the same chain with scalar FMAs.
+void GatherDotsAvx2(const float* a, const float* b, const int32_t* cols,
+                    int64_t count, int64_t k, float* c) {
+  const __m256i stride = _mm256_set1_epi32(static_cast<int32_t>(k));
+  int64_t u = 0;
+  for (; u + 8 <= count; u += 8) {
+    const __m256i rows = _mm256_mullo_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cols + u)),
+        stride);
+    __m256 acc = _mm256_setzero_ps();
+    for (int64_t kk = 0; kk < k; ++kk) {
+      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a + kk),
+                            _mm256_i32gather_ps(b + kk, rows, 4), acc);
+    }
+    _mm256_storeu_ps(c + u, acc);
+  }
+  for (; u < count; ++u) {
+    const float* brow = b + static_cast<int64_t>(cols[u]) * k;
+    float sum = 0.0f;
+    for (int64_t kk = 0; kk < k; ++kk) sum = std::fma(a[kk], brow[kk], sum);
+    c[u] = sum;
+  }
+}
+
 constexpr Kernels kAvx2Kernels = {
     internal::PackBPortable,
     GemmRowsAvx2,
     GemmRowsDirectAvx2,
     DotRowsAvx2,
     M1BatchAvx2,
+    GatherDotsAvx2,
 };
 
 }  // namespace

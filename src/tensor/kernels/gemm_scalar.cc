@@ -104,12 +104,23 @@ void M1BatchScalar(const float* a, const int64_t* a_mats, int64_t a_elems,
   }
 }
 
+void GatherDotsScalar(const float* a, const float* b, const int32_t* cols,
+                      int64_t count, int64_t k, float* c) {
+  for (int64_t u = 0; u < count; ++u) {
+    const float* brow = b + static_cast<int64_t>(cols[u]) * k;
+    float sum = 0.0f;
+    for (int64_t kk = 0; kk < k; ++kk) sum += a[kk] * brow[kk];
+    c[u] = sum;
+  }
+}
+
 constexpr Kernels kScalarKernels = {
     PackBScalar,
     GemmRowsScalar,
     GemmRowsDirectScalar,
     DotRowsScalar,
     M1BatchScalar,
+    GatherDotsScalar,
 };
 
 }  // namespace

@@ -483,5 +483,22 @@ TEST_F(CheckpointFuzz, HeaderAndConfigViolationsAreRejected) {
       << status.ToString();
 }
 
+TEST_F(CheckpointFuzz, NegativeOrNonFiniteAlphaIsRejected) {
+  // The sparse selection bounds every gate by 1 + alpha, which needs
+  // alpha >= 0; the loader refuses the rest by name.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {-0.5f, -1e-30f, -inf, inf,
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    const Status status = LoadBytes(Patched(*bytes_, kAlphaOffset, bad));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("alpha"), std::string::npos)
+        << status.ToString();
+  }
+  for (const float good : {0.0f, -0.0f, 0.3f, 2.0f}) {
+    EXPECT_TRUE(LoadBytes(Patched(*bytes_, kAlphaOffset, good)).ok())
+        << good;
+  }
+}
+
 }  // namespace
 }  // namespace tgcrn

@@ -416,6 +416,20 @@ TEST(TGCRNTest, ForwardShapes) {
   EXPECT_FALSE(pred.value().HasNonFinite());
 }
 
+TEST(TGCRNDeathTest, NegativeOrNonFiniteAlphaAborts) {
+  // The sparse selection's gate ceiling 1 + alpha needs alpha >= 0.
+  for (const float alpha : {-0.1f, std::nanf("")}) {
+    auto config = SmallConfig();
+    config.alpha = alpha;
+    EXPECT_DEATH(
+        {
+          Rng rng(45);
+          core::TGCRN model(config, &rng);
+        },
+        "alpha must be finite and >= 0");
+  }
+}
+
 TEST(TGCRNTest, DirectHeadVariantShapes) {
   auto config = SmallConfig();
   config.use_encoder_decoder = false;

@@ -101,6 +101,38 @@ TEST(CsvLoaderTest, RejectsNonNumericValue) {
   std::filesystem::remove(path);
 }
 
+TEST(CsvLoaderTest, RejectsNonFiniteCells) {
+  // std::from_chars parses these; one of them would train to MAE nan.
+  // The error names the line and the 1-based column.
+  struct Case {
+    const char* contents;
+    const char* where;
+  };
+  for (const Case& tc : {Case{"0,0,0,1.5,2.5\n1,1,0,nan,4.5\n", ":2: column 4"},
+                         Case{"0,0,0,1.5,inf\n", ":1: column 5"},
+                         Case{"0,0,0,-inf,2.5\n", ":1: column 4"},
+                         Case{"0,0,0,1.5,1e39\n", ":1: column 5"},
+                         Case{"0,0,0,1.5,-NAN\n", ":1: column 5"}}) {
+    const auto path = TempCsv("tgcrn_csv8.csv", tc.contents);
+    auto result = data::LoadCsv(path.string(), SmallOptions());
+    ASSERT_FALSE(result.ok()) << tc.contents;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(tc.where), std::string::npos)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find("not a finite float"),
+              std::string::npos)
+        << result.status().ToString();
+    std::filesystem::remove(path);
+  }
+  // Non-finite calendar fields are refused too (a NaN slot would pass
+  // the range check and then be cast to an integer).
+  const auto slot_path = TempCsv("tgcrn_csv9.csv", "0,nan,0,1,2\n");
+  auto slot_result = data::LoadCsv(slot_path.string(), SmallOptions());
+  ASSERT_FALSE(slot_result.ok());
+  EXPECT_NE(slot_result.status().message().find(":1:"), std::string::npos);
+  std::filesystem::remove(slot_path);
+}
+
 TEST(CsvLoaderTest, RejectsEmptyFile) {
   const auto path = TempCsv("tgcrn_csv7.csv", "header,only,line,a,b\n");
   auto result = data::LoadCsv(path.string(), SmallOptions());

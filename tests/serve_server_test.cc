@@ -168,8 +168,11 @@ class ServeServerTelemetryFixture : public ServeServerFixture {
  protected:
   void SetUp() override {
     BuildSession();
+    // Per-process name: ctest runs this binary's cases in parallel
+    // processes, and each case removes and reads its own log.
     log_path_ = (std::filesystem::temp_directory_path() /
-                 "tgcrn_server_test.access.jsonl")
+                 ("tgcrn_server_test." + std::to_string(::getpid()) +
+                  ".access.jsonl"))
                     .string();
     std::filesystem::remove(log_path_);
     serve::TelemetryConfig config;
@@ -256,6 +259,56 @@ TEST_F(ServeServerFixture, StatsEvictAndErrorSchema) {
   EXPECT_FALSE(bad_op["ok"].AsBool());
   const obs::Json malformed = client.Call("{not json");
   EXPECT_FALSE(malformed["ok"].AsBool());
+}
+
+TEST_F(ServeServerFixture, MalformedObserveValuesAreRejectedUnchanged) {
+  Client client(server_->port());
+  ASSERT_TRUE(client.Call(ObserveLine("hz", 0))["ok"].AsBool());
+  // Swaps the first value of a well-formed observe line for `first`, or
+  // the whole values array for `values` when given.
+  const std::string good = ObserveLine("hz", 1);
+  const size_t open = good.find("\"values\":[[") + 11;
+  const size_t comma = good.find_first_of(",]", open);
+  const auto with_first = [&](const std::string& entity,
+                              const std::string& first) {
+    std::string line = good.substr(0, open) + first + good.substr(comma);
+    line.replace(line.find("\"hz\""), 4, "\"" + entity + "\"");
+    return line;
+  };
+  const auto with_values = [](const std::string& values) {
+    return R"({"op":"observe","entity":"hz","slot":1,"values":)" + values +
+           "}";
+  };
+  const int64_t n = raw_.num_nodes();
+  std::string ragged = "[[1,2]";
+  for (int64_t i = 1; i < n; ++i) ragged += i == 1 ? ",[1]" : ",[1,2]";
+  ragged += "]";
+  std::string mixed = "[[1,2]";
+  for (int64_t i = 1; i < n; ++i) mixed += ",1,2";
+  mixed += "]";
+  for (const std::string& line :
+       {with_first("hz", "null"), with_first("hz", "\"1.5\""),
+        with_first("hz", "true"), with_first("hz", "1e39"),
+        with_first("hz", "-1e39"), with_first("hz", "{}"),
+        with_first("fresh", "null"), with_values(ragged),
+        with_values(mixed), with_values("[1,null,3,4,5,6,7,8]"),
+        with_values("[]"), with_values("\"1,2\"")}) {
+    const obs::Json reply = client.Call(line);
+    EXPECT_FALSE(reply["ok"].AsBool()) << line << " -> " << reply.Dump();
+    EXPECT_EQ(reply.GetString("op"), "observe");
+    EXPECT_NE(reply.GetString("error"), "") << line;
+  }
+  // No rejected observe reached the session: "hz" still holds one step
+  // and "fresh" was never created.
+  const obs::Json stats = client.Call(R"({"op":"stats"})");
+  EXPECT_EQ(stats.GetInt("entities"), 1);
+  const obs::Json forecast =
+      client.Call(R"({"op":"forecast","entity":"hz"})");
+  ASSERT_TRUE(forecast["ok"].AsBool()) << forecast.Dump();
+  EXPECT_EQ(forecast.GetInt("steps"), 1);
+  const obs::Json next = client.Call(good);
+  EXPECT_TRUE(next["ok"].AsBool()) << next.Dump();
+  EXPECT_EQ(next.GetInt("steps"), 2);
 }
 
 TEST_F(ServeServerFixture, PipelinedRequestsAnswerInOrder) {

@@ -27,6 +27,7 @@
 #include "datagen/metro_sim.h"
 #include "graph/csr.h"
 #include "gradcheck.h"
+#include "obs/prof.h"
 
 namespace tgcrn {
 namespace {
@@ -77,22 +78,19 @@ std::vector<int64_t> TopKRowIds(const std::vector<float>& row, int64_t k) {
   return out;
 }
 
-// The block pipeline the fused selection scan replaced: per 256-row block
-// and batch item, whole-tensor ops build the raw score block (Eq 6-9),
-// relu it, and select each row with the reference selector. Returns the
-// kept column ids in CsrIndex::col_ids layout.
-std::vector<int64_t> ReferenceSelectTopK(const core::TagSL& tagsl,
-                                         const core::TimeEncoder* encoder,
-                                         const Variable& x_t,
-                                         const std::vector<int64_t>& slots,
-                                         const std::vector<int64_t>& prev,
-                                         int64_t k) {
+// The full-scan selection oracle: per 256-row block and batch item,
+// whole-tensor ops build the raw scores of every pair (Eq 6-9), relu
+// them, and select each row with the reference selector, once per k in
+// `ks`. Returns the kept column ids in CsrIndex::col_ids layout, one
+// vector per k.
+std::vector<std::vector<int64_t>> ReferenceSelectTopK(
+    const core::TagSL& tagsl, const core::TimeEncoder* encoder,
+    const Variable& x_t, const std::vector<int64_t>& slots,
+    const std::vector<int64_t>& prev, const std::vector<int64_t>& ks) {
   constexpr int64_t kBlockRows = 256;
   const core::TagSL::Options& options = tagsl.options();
   const int64_t batch = x_t.size(0);
   const int64_t n = options.num_nodes;
-  const int64_t kept = std::min<int64_t>(std::max<int64_t>(k, 1), n);
-  const int64_t nnz = n * kept;
   const float pdf_scale =
       1.0f / std::sqrt(static_cast<float>(x_t.size(2)));
   ag::NoGradGuard no_grad;
@@ -106,7 +104,11 @@ std::vector<int64_t> ReferenceSelectTopK(const core::TagSL& tagsl,
   }
   const Tensor node_embed = tagsl.node_embedding().value();
   const Tensor x = x_t.value();
-  std::vector<int64_t> col_ids(static_cast<size_t>(batch * nnz));
+  std::vector<std::vector<int64_t>> col_ids;
+  for (const int64_t k : ks) {
+    const int64_t kept = std::min<int64_t>(std::max<int64_t>(k, 1), n);
+    col_ids.emplace_back(static_cast<size_t>(batch * n * kept));
+  }
   for (int64_t r0 = 0; r0 < n; r0 += kBlockRows) {
     const int64_t r1 = std::min<int64_t>(n, r0 + kBlockRows);
     const Tensor a_nu_blk =
@@ -126,15 +128,44 @@ std::vector<int64_t> ReferenceSelectTopK(const core::TagSL& tagsl,
         score = gate.Mul(score);
       }
       const Tensor clipped = score.Relu();
-      for (int64_t r = r0; r < r1; ++r) {
-        const std::vector<int64_t> ids =
-            ReferenceTopKRow(clipped.data() + (r - r0) * n, n, kept);
-        std::copy(ids.begin(), ids.end(),
-                  col_ids.begin() + b * nnz + r * kept);
+      for (size_t i = 0; i < ks.size(); ++i) {
+        const int64_t kept = std::min<int64_t>(std::max<int64_t>(ks[i], 1), n);
+        for (int64_t r = r0; r < r1; ++r) {
+          const std::vector<int64_t> ids =
+              ReferenceTopKRow(clipped.data() + (r - r0) * n, n, kept);
+          std::copy(ids.begin(), ids.end(),
+                    col_ids[i].begin() + (b * n + r) * kept);
+        }
       }
     }
   }
   return col_ids;
+}
+
+// Selects with `tagsl` for every k in `ks` under every ISA at 1/2/4/8
+// pool threads and asserts the kept ids equal the oracle's bitwise.
+void ExpectSelectionMatchesOracle(const core::TagSL& tagsl,
+                                  const core::TimeEncoder* encoder,
+                                  const Variable& x,
+                                  const std::vector<int64_t>& slots,
+                                  const std::vector<int64_t>& prev,
+                                  const std::vector<int64_t>& ks,
+                                  const std::string& label) {
+  for (const auto isa : AvailableIsas()) {
+    common::ScopedSimdIsa pin(isa);
+    const std::vector<std::vector<int64_t>> expected =
+        ReferenceSelectTopK(tagsl, encoder, x, slots, prev, ks);
+    for (size_t i = 0; i < ks.size(); ++i) {
+      for (const int threads : {1, 2, 4, 8}) {
+        ScopedNumThreads guard(threads);
+        const ag::SparseGraph sparse =
+            tagsl.BuildSparseGraph(x, slots, prev, ks[i]);
+        ASSERT_EQ(sparse.index->col_ids, expected[i])
+            << label << " k=" << ks[i] << " isa="
+            << common::SimdIsaName(isa) << " threads=" << threads;
+      }
+    }
+  }
 }
 
 // --- CSR structure ----------------------------------------------------------
@@ -396,17 +427,29 @@ TEST(TagSLSparseTest, MatchesDenseTopKSelectionAndValues) {
 }
 
 TEST(TagSLSparseTest, FusedSelectionMatchesBlockOracleBitwise) {
-  // N not a multiple of the selection tile; every ISA and pool width must
-  // keep exactly the oracle's columns.
+  // The bound-pruned walk against the full-scan oracle: N not a multiple
+  // of the prefix tile, k from 1 to N, the time and PDF terms on and off,
+  // every ISA and pool width. k = N keeps every column without scoring
+  // any; it runs at N <= 300 only, because past that the B*N^2 kept-edge
+  // logits of stage 2 dominate the test's time. N = 4096 keeps two of
+  // the four term settings to bound the oracle's time.
   struct Case {
     int64_t n;
     bool use_time;
     bool use_pdf;
   };
-  for (const Case& tc : {Case{37, true, true}, Case{300, true, true},
-                         Case{1024, true, true}, Case{37, false, true},
-                         Case{37, true, false}, Case{37, false, false}}) {
-    const int64_t batch = 2, c = 2, k = 16, spd = 24, d_tau = 4;
+  std::vector<Case> cases;
+  for (const int64_t n : {37, 300, 1024}) {
+    for (const bool use_time : {true, false}) {
+      for (const bool use_pdf : {true, false}) {
+        cases.push_back({n, use_time, use_pdf});
+      }
+    }
+  }
+  cases.push_back({4096, true, true});
+  cases.push_back({4096, false, false});
+  for (const Case& tc : cases) {
+    const int64_t batch = 2, c = 2, spd = 24, d_tau = 4;
     Rng rng(81 + tc.n);
     core::DiscreteTimeEmbedding encoder(spd, d_tau, &rng);
     core::TagSL::Options options;
@@ -418,22 +461,157 @@ TEST(TagSLSparseTest, FusedSelectionMatchesBlockOracleBitwise) {
     Rng data_rng(82 + tc.n);
     Variable x(
         Tensor::RandUniform({batch, tc.n, c}, -1.5f, 1.5f, &data_rng));
-    const std::vector<int64_t> slots = {5, 17};
-    const std::vector<int64_t> prev = {4, 16};
-    for (const auto isa : AvailableIsas()) {
-      common::ScopedSimdIsa pin(isa);
-      const std::vector<int64_t> expected =
-          ReferenceSelectTopK(tagsl, &encoder, x, slots, prev, k);
-      for (const int threads : {1, 2, 4, 8}) {
-        ScopedNumThreads guard(threads);
-        const ag::SparseGraph sparse =
-            tagsl.BuildSparseGraph(x, slots, prev, k);
-        ASSERT_EQ(sparse.index->col_ids, expected)
-            << "N=" << tc.n << " time=" << tc.use_time
-            << " pdf=" << tc.use_pdf << " isa="
-            << common::SimdIsaName(isa) << " threads=" << threads;
+    std::vector<int64_t> ks = {1, 16};
+    if (tc.n <= 300) ks.push_back(tc.n);
+    ExpectSelectionMatchesOracle(
+        tagsl, &encoder, x, {5, 17}, {4, 16}, ks,
+        "N=" + std::to_string(tc.n) + " time=" +
+            std::to_string(tc.use_time) + " pdf=" +
+            std::to_string(tc.use_pdf));
+  }
+}
+
+TEST(TagSLSparseTest, WalkMatchesOracleOnAdversarialRows) {
+  const int64_t batch = 3, c = 2, spd = 10, d_tau = 4;
+  // Slot s's time embedding is all v[s], so eta = v[slot] * v[slot - 1]:
+  // slots 1, 3, 5 give -100 (every score 0), -1.5 and -0.5 (a few
+  // positive scores per row, the rest 0); slot 7 gives 1e6 (a_nu + eta
+  // rounds distinct A_nu values to one score, so equal scores arrive out
+  // of index order and only a strict stop is exact); slot 9 gives 0.5.
+  const float v[spd] = {1.0f, -100.0f, 1.0f,    -1.5f, 1.0f,
+                        -0.5f, 1000.0f, 1000.0f, 1.0f, 0.5f};
+  for (const int64_t n : {37, 300}) {
+    Rng rng(90 + n);
+    core::DiscreteTimeEmbedding encoder(spd, d_tau, &rng);
+    Tensor table = encoder.weight().value();
+    for (int64_t s = 0; s < spd; ++s) {
+      for (int64_t d = 0; d < d_tau; ++d) {
+        table.mutable_data()[s * d_tau + d] = v[s];
       }
     }
+    Rng data_rng(91 + n);
+    Variable x(Tensor::RandUniform({batch, n, c}, -1.5f, 1.5f, &data_rng));
+    for (const bool use_pdf : {true, false}) {
+      core::TagSL::Options options;
+      options.num_nodes = n;
+      options.node_dim = 8;
+      options.use_pdf = use_pdf;
+      const std::string label = "N=" + std::to_string(n) +
+                                " pdf=" + std::to_string(use_pdf);
+      {
+        core::TagSL tagsl(options, &encoder, &rng);
+        ExpectSelectionMatchesOracle(tagsl, &encoder, x, {1, 3, 5},
+                                     {0, 2, 4}, {1, 16}, "eta<<0 " + label);
+        ExpectSelectionMatchesOracle(tagsl, &encoder, x, {7, 7, 9},
+                                     {6, 6, 8}, {1, 16}, "eta>>0 " + label);
+      }
+      // Ties: every E_nu row repeats one of 7, so each A_nu row holds 7
+      // distinct values and the candidate order rests on the index.
+      {
+        core::TagSL tagsl(options, &encoder, &rng);
+        Tensor embed = tagsl.node_embedding().value();
+        for (int64_t j = 7; j < n; ++j) {
+          for (int64_t d = 0; d < 8; ++d) {
+            embed.mutable_data()[j * 8 + d] = embed.data()[(j % 7) * 8 + d];
+          }
+        }
+        ExpectSelectionMatchesOracle(tagsl, &encoder, x, {9, 9, 5},
+                                     {8, 8, 4}, {1, 16}, "ties " + label);
+      }
+      // Constant A_nu (every E_nu row equal): the ceiling never drops
+      // below a kept score, so rows fall back to the full scan and the
+      // candidate depth grows between calls.
+      {
+        core::TagSL tagsl(options, &encoder, &rng);
+        Tensor embed = tagsl.node_embedding().value();
+        for (int64_t j = 0; j < n * 8; ++j) embed.mutable_data()[j] = 0.25f;
+        ExpectSelectionMatchesOracle(tagsl, &encoder, x, {9, 9, 9},
+                                     {8, 8, 8}, {1, 16},
+                                     "constant " + label);
+      }
+    }
+  }
+}
+
+TEST(TagSLSparseTest, SelectionFollowsEmbeddingEditedInPlace) {
+  // The walk's candidate order is cached per E_nu; editing one element
+  // in place must invalidate it.
+  const int64_t batch = 2, n = 300, c = 2, k = 16;
+  Rng rng(95);
+  core::DiscreteTimeEmbedding encoder(24, 4, &rng);
+  core::TagSL::Options options;
+  options.num_nodes = n;
+  options.node_dim = 8;
+  core::TagSL tagsl(options, &encoder, &rng);
+  Rng data_rng(96);
+  Variable x(Tensor::RandUniform({batch, n, c}, -1.5f, 1.5f, &data_rng));
+  const std::vector<int64_t> slots = {5, 17}, prev = {4, 16};
+  for (const auto isa : AvailableIsas()) {
+    common::ScopedSimdIsa pin(isa);
+    Tensor embed = tagsl.node_embedding().value();
+    const std::vector<int64_t> before =
+        tagsl.BuildSparseGraph(x, slots, prev, k).index->col_ids;
+    // Node 123 points along node 0's embedding: column 123 now beats the
+    // rest in the rows that like node 0.
+    const float saved = embed.data()[123 * 8];
+    embed.mutable_data()[123 * 8] = 40.0f * embed.data()[0];
+    const std::vector<int64_t> after =
+        tagsl.BuildSparseGraph(x, slots, prev, k).index->col_ids;
+    EXPECT_NE(after, before) << common::SimdIsaName(isa);
+    EXPECT_EQ(after,
+              ReferenceSelectTopK(tagsl, &encoder, x, slots, prev, {k})[0])
+        << common::SimdIsaName(isa);
+    embed.mutable_data()[123 * 8] = saved;
+    EXPECT_EQ(tagsl.BuildSparseGraph(x, slots, prev, k).index->col_ids,
+              before)
+        << common::SimdIsaName(isa);
+  }
+}
+
+TEST(TagSLSparseTest, SelectCostChargesBuildAndVisitedCandidates) {
+  // tagsl.SelectTopK's analytic cost is the prefix build (when a call
+  // makes one) plus the candidates the walk scores, not B*N^2 pair
+  // scores. The counts are pure functions of the inputs, so the charge
+  // is identical at every pool width.
+  const int64_t batch = 2, n = 1024, c = 2, k = 16, d_nu = 8;
+  Rng data_rng(97);
+  Variable x(Tensor::RandUniform({batch, n, c}, -1.5f, 1.5f, &data_rng));
+  const std::vector<int64_t> slots = {5, 17}, prev = {4, 16};
+  const auto select_flops = [&](const core::TagSL& tagsl) {
+    obs::ResetProfile();
+    (void)tagsl.BuildSparseGraph(x, slots, prev, k);
+    for (const auto& kernel : obs::CollectProfReport().kernels) {
+      if (kernel.name == "tagsl.SelectTopK") return kernel.flops;
+    }
+    return -1.0;
+  };
+  obs::ProfOptions prof;
+  prof.enabled = true;
+  prof.counters = false;
+  obs::StartProfiling(prof);
+  std::vector<double> build_calls, walk_calls;
+  for (const int threads : {1, 2, 4, 8}) {
+    ScopedNumThreads guard(threads);
+    Rng rng(98);
+    core::DiscreteTimeEmbedding encoder(24, 4, &rng);
+    core::TagSL::Options options;
+    options.num_nodes = n;
+    options.node_dim = d_nu;
+    core::TagSL tagsl(options, &encoder, &rng);
+    build_calls.push_back(select_flops(tagsl));  // builds the prefix
+    walk_calls.push_back(select_flops(tagsl));   // reuses it
+  }
+  obs::StopProfiling();
+  obs::ResetProfile();
+  const double dn = static_cast<double>(n);
+  const double full_scan =
+      static_cast<double>(batch) * dn * dn * (2.0 * d_nu + 2.0 * c + 4.0);
+  EXPECT_GT(walk_calls[0], 0.0);
+  EXPECT_LT(walk_calls[0], full_scan / 20.0);
+  EXPECT_EQ(build_calls[0] - walk_calls[0], dn * dn * (2.0 * d_nu + 1.0));
+  for (size_t i = 1; i < walk_calls.size(); ++i) {
+    EXPECT_EQ(build_calls[i], build_calls[0]) << "pool width index " << i;
+    EXPECT_EQ(walk_calls[i], walk_calls[0]) << "pool width index " << i;
   }
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/cpu_features.h"
+#include "tensor/kernels/gemm.h"
 #include "tensor/tensor.h"
 
 namespace tgcrn {
@@ -288,6 +289,44 @@ TEST(SimdMatmulDifferentialTest, SlicedOperandsMatch) {
     v = a.Matmul(b);
   }
   ExpectWithinScaledUlps(s, v, bound, 19, "sliced operands");
+}
+
+// gather_dots computes single elements of A * B^T against gathered
+// columns; each must be bitwise the element gemm_rows computes against
+// the packed B^T, at each ISA (the sparse TagSL walk relies on it).
+TEST(GemmGatherDotsTest, MatchesGemmRowsBitwise) {
+  std::vector<common::SimdIsa> isas = {common::SimdIsa::kScalar};
+  if (Avx2Available()) isas.push_back(common::SimdIsa::kAvx2);
+  Rng rng(12000);
+  const int64_t n = 37;
+  for (const common::SimdIsa isa : isas) {
+    const gemm::Kernels& kernels = gemm::GetKernels(isa);
+    // k past the 256-wide reduce block, and counts with and without an
+    // 8-lane tail; columns repeat and come in any order.
+    for (const int64_t k : {1, 2, 3, 8, 17, 300}) {
+      const Tensor a = Tensor::RandUniform({k}, -2, 2, &rng);
+      const Tensor b = Tensor::RandUniform({n, k}, -2, 2, &rng);
+      std::vector<float> packed(gemm::PackedBCount(k, n));
+      kernels.pack_b(b.data(), k, n, /*transpose_b=*/true, packed.data());
+      std::vector<float> row(n);
+      kernels.gemm_rows(a.data(), k, 1, packed.data(), 0, 1, k, n,
+                        row.data());
+      for (const int64_t count : {1, 8, 16, 23}) {
+        std::vector<int32_t> cols(count);
+        for (int32_t& c : cols) {
+          c = static_cast<int32_t>(rng.UniformInt(0, n - 1));
+        }
+        std::vector<float> got(count);
+        kernels.gather_dots(a.data(), b.data(), cols.data(), count, k,
+                            got.data());
+        for (int64_t u = 0; u < count; ++u) {
+          ASSERT_EQ(std::memcmp(&got[u], &row[cols[u]], sizeof(float)), 0)
+              << common::SimdIsaName(isa) << " k=" << k << " count=" << count
+              << " u=" << u << ": " << got[u] << " vs " << row[cols[u]];
+        }
+      }
+    }
+  }
 }
 
 TEST(SimdVmathDifferentialTest, TranscendentalsMatchLibmWithinTolerance) {
