@@ -572,22 +572,46 @@ BENCHMARK(BM_TagslSelectTopK)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
+// One fused GCGRU step at the metro-dense shapes: B = 16, N = 32, H = 16,
+// d_nu = 12, d_tau = 8; layer 0 reads the d = 2 input, layer 1 the hidden
+// state. topk: 0 = the dense row-softmax graph, k = its top-k CSR form.
+// bwd: 1 adds the step's backward (seeded with ones). Inputs need
+// gradients, so the forward records its node as in training.
 void BM_GcgruStep(benchmark::State& state) {
-  const int64_t n = state.range(0);
+  const int64_t layer = state.range(0);
+  const int64_t topk = state.range(1);
+  const bool backward = state.range(2) != 0;
+  const int64_t b = 16, n = 32, hid = 16;
+  const int64_t cin = layer == 0 ? 2 : hid;
   Rng rng(7);
-  core::GCGRUCell cell(2, 16, 12, 8, &rng);
-  ag::Variable x(Tensor::RandUniform({16, n, 2}, -1, 1, &rng));
-  ag::Variable h(Tensor::Zeros({16, n, 16}));
-  ag::Variable adj(Tensor::Full({16, n, n},
-                                1.0f / static_cast<float>(n)));
-  ag::Variable node_embed(Tensor::RandUniform({n, 12}, -1, 1, &rng));
-  ag::Variable time_embed(Tensor::RandUniform({16, 8}, -1, 1, &rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cell.Forward(x, h, adj, node_embed, time_embed));
+  core::GCGRUCell cell(cin, hid, 12, 8, &rng);
+  ag::Variable x(Tensor::RandUniform({b, n, cin}, -1, 1, &rng), layer > 0);
+  ag::Variable h(Tensor::RandUniform({b, n, hid}, -1, 1, &rng), true);
+  ag::Variable node_embed(Tensor::RandUniform({n, 12}, -1, 1, &rng), true);
+  ag::Variable time_embed(Tensor::RandUniform({b, 8}, -1, 1, &rng), true);
+  const Tensor dense =
+      Tensor::RandUniform({b, n, n}, -1, 1, &rng).Softmax(-1);
+  core::Adjacency adj;
+  if (topk > 0) {
+    graph::CsrBatch csr = graph::SparsifyTopK(dense, topk);
+    adj = core::Adjacency(
+        ag::SparseGraph{csr.index, ag::Variable(csr.values, true)});
+  } else {
+    adj = core::Adjacency(ag::Variable(dense, true));
   }
+  const Tensor ones = Tensor::Ones({b, n, hid});
+  for (auto _ : state) {
+    ag::StepArenaScope arena;
+    ag::Variable out = cell.Forward(x, h, adj, node_embed, time_embed);
+    if (backward) out.Backward(ones);
+    benchmark::DoNotOptimize(out.value().data());
+  }
+  StampIsa(state);
 }
-BENCHMARK(BM_GcgruStep)->Arg(20)->Arg(64);
+BENCHMARK(BM_GcgruStep)
+    ->ArgNames({"layer", "topk", "bwd"})
+    ->ArgsProduct({{0, 1}, {0, 8}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace tgcrn

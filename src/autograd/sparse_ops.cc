@@ -98,6 +98,105 @@ SparseGraph SparsifyTopK(const Variable& dense, int64_t k) {
   return out;
 }
 
+void SpmmCsrRows(const graph::CsrIndex& index, const Tensor& values,
+                 const Tensor& x, float* out, int64_t ldo) {
+  TGCRN_TRACE_SCOPE("spmm.SpmmCsr");
+  const int64_t batch = index.batch;
+  const int64_t rows = index.rows;
+  const int64_t cols = index.cols;
+  const int64_t nnz = index.nnz();
+  const int64_t c = x.size(2);
+  const int64_t kept = nnz / std::max<int64_t>(1, rows);
+  obs::RecordKernelCost(
+      "spmm.SpmmCsr",
+      2.0 * static_cast<double>(batch) * static_cast<double>(nnz) *
+          static_cast<double>(c),
+      4.0 * (static_cast<double>(batch) * static_cast<double>(nnz) *
+                 static_cast<double>(c) +
+             static_cast<double>(batch) * static_cast<double>(rows) *
+                 static_cast<double>(c) +
+             static_cast<double>(batch) * static_cast<double>(nnz)) +
+          8.0 * static_cast<double>(batch) * static_cast<double>(nnz));
+  const spmm::Kernels& kern = spmm::GetKernels(common::ActiveSimdIsa());
+  const float* vals = values.data();
+  const float* xp = x.data();
+  ParallelForItems(batch, rows, RowGrain(2 * kept * c),
+                   [&](int64_t b, int64_t r0, int64_t r1) {
+                     kern.spmm_rows(index.row_offsets.data(),
+                                    index.col_ids.data() + b * nnz,
+                                    vals + b * nnz, xp + b * cols * c, r0, r1,
+                                    c, out + b * rows * ldo, ldo);
+                   });
+}
+
+Tensor SpmmCsrGradValues(const graph::CsrIndex& index, const Tensor& g,
+                         const Tensor& x) {
+  TGCRN_TRACE_SCOPE("spmm.SpmmCsrGradValues");
+  const int64_t batch = index.batch;
+  const int64_t rows = index.rows;
+  const int64_t cols = index.cols;
+  const int64_t nnz = index.nnz();
+  const int64_t c = g.size(2);
+  obs::RecordKernelCost(
+      "spmm.SpmmCsrGradValues",
+      2.0 * static_cast<double>(batch) * static_cast<double>(nnz) *
+          static_cast<double>(c),
+      4.0 * (2.0 * static_cast<double>(batch) * static_cast<double>(nnz) *
+                 static_cast<double>(c) +
+             static_cast<double>(batch) * static_cast<double>(nnz)) +
+          8.0 * 2.0 * static_cast<double>(batch) * static_cast<double>(nnz));
+  const spmm::Kernels& kern = spmm::GetKernels(common::ActiveSimdIsa());
+  Tensor gv = Tensor::ForOverwrite({batch, nnz});
+  const float* gp = g.data();
+  const float* xp = x.data();
+  float* gvp = gv.mutable_data();
+  ParallelForItems(batch, nnz, RowGrain(2 * c),
+                   [&](int64_t b, int64_t s0, int64_t s1) {
+                     kern.spmm_grad_values(index.slot_rows.data(),
+                                           index.col_ids.data() + b * nnz,
+                                           gp + b * rows * c,
+                                           xp + b * cols * c, s0, s1, c,
+                                           gvp + b * nnz);
+                   });
+  return gv;
+}
+
+Tensor SpmmCsrGradX(graph::CsrIndex* index, const Tensor& values,
+                    const Tensor& g) {
+  TGCRN_TRACE_SCOPE("spmm.SpmmCsrGradX");
+  const int64_t batch = index->batch;
+  const int64_t rows = index->rows;
+  const int64_t cols = index->cols;
+  const int64_t nnz = index->nnz();
+  const int64_t c = g.size(2);
+  obs::RecordKernelCost(
+      "spmm.SpmmCsrGradX",
+      2.0 * static_cast<double>(batch) * static_cast<double>(nnz) *
+          static_cast<double>(c),
+      4.0 * (static_cast<double>(batch) * static_cast<double>(nnz) *
+                 static_cast<double>(c) +
+             static_cast<double>(batch) * static_cast<double>(cols) *
+                 static_cast<double>(c) +
+             static_cast<double>(batch) * static_cast<double>(nnz)) +
+          8.0 * 2.0 * static_cast<double>(batch) * static_cast<double>(nnz));
+  index->BuildTranspose();  // no-op once built
+  const spmm::Kernels& kern = spmm::GetKernels(common::ActiveSimdIsa());
+  Tensor gx = Tensor::ForOverwrite({batch, cols, c});
+  const float* gp = g.data();
+  const float* vals = values.data();
+  float* gxp = gx.mutable_data();
+  const int64_t avg_in = std::max<int64_t>(1, nnz / cols);
+  ParallelForItems(batch, cols, RowGrain(2 * avg_in * c),
+                   [&](int64_t b, int64_t c0, int64_t c1) {
+                     kern.spmm_t_cols(index->t_offsets.data() + b * (cols + 1),
+                                      index->t_slots.data() + b * nnz,
+                                      index->slot_rows.data(), vals + b * nnz,
+                                      gp + b * rows * c, c0, c1, c,
+                                      gxp + b * cols * c);
+                   });
+  return gx;
+}
+
 Variable SpmmCsr(const SparseGraph& graph, const Variable& x) {
   TGCRN_CHECK(graph.defined());
   std::shared_ptr<graph::CsrIndex> index = graph.index;
@@ -105,38 +204,9 @@ Variable SpmmCsr(const SparseGraph& graph, const Variable& x) {
   TGCRN_CHECK_EQ(xv.dim(), 3);
   TGCRN_CHECK_EQ(xv.size(0), index->batch);
   TGCRN_CHECK_EQ(xv.size(1), index->cols);
-  const int64_t batch = index->batch;
-  const int64_t rows = index->rows;
-  const int64_t cols = index->cols;
-  const int64_t nnz = index->nnz();
   const int64_t c = xv.size(2);
-  const int64_t kept = nnz / std::max<int64_t>(1, rows);
-
-  Tensor out = Tensor::ForOverwrite({batch, rows, c});
-  {
-    TGCRN_TRACE_SCOPE("spmm.SpmmCsr");
-    obs::RecordKernelCost(
-        "spmm.SpmmCsr",
-        2.0 * static_cast<double>(batch) * static_cast<double>(nnz) *
-            static_cast<double>(c),
-        4.0 * (static_cast<double>(batch) * static_cast<double>(nnz) *
-                   static_cast<double>(c) +
-               static_cast<double>(batch) * static_cast<double>(rows) *
-                   static_cast<double>(c) +
-               static_cast<double>(batch) * static_cast<double>(nnz)) +
-            8.0 * static_cast<double>(batch) * static_cast<double>(nnz));
-    const spmm::Kernels& kern = spmm::GetKernels(common::ActiveSimdIsa());
-    const float* vals = graph.values.value().data();
-    const float* xp = xv.data();
-    float* op = out.mutable_data();
-    ParallelForItems(batch, rows, RowGrain(2 * kept * c),
-                     [&](int64_t b, int64_t r0, int64_t r1) {
-                       kern.spmm_rows(index->row_offsets.data(),
-                                      index->col_ids.data() + b * nnz,
-                                      vals + b * nnz, xp + b * cols * c, r0,
-                                      r1, c, op + b * rows * c);
-                     });
-  }
+  Tensor out = Tensor::ForOverwrite({index->batch, index->rows, c});
+  SpmmCsrRows(*index, graph.values.value(), xv, out.mutable_data(), c);
 
   auto vn = graph.values.node();
   auto xn = x.node();
@@ -145,66 +215,11 @@ Variable SpmmCsr(const SparseGraph& graph, const Variable& x) {
   if (xn->needs_grad) index->BuildTranspose();
   return MakeOpNode(
       std::move(out), {graph.values, x}, [vn, xn, index](const Tensor& g) {
-        const int64_t batch = index->batch;
-        const int64_t rows = index->rows;
-        const int64_t cols = index->cols;
-        const int64_t nnz = index->nnz();
-        const int64_t c = g.size(2);
-        const spmm::Kernels& kern = spmm::GetKernels(common::ActiveSimdIsa());
         if (vn->needs_grad) {
-          TGCRN_TRACE_SCOPE("spmm.SpmmCsrGradValues");
-          obs::RecordKernelCost(
-              "spmm.SpmmCsrGradValues",
-              2.0 * static_cast<double>(batch) * static_cast<double>(nnz) *
-                  static_cast<double>(c),
-              4.0 * (2.0 * static_cast<double>(batch) *
-                         static_cast<double>(nnz) * static_cast<double>(c) +
-                     static_cast<double>(batch) * static_cast<double>(nnz)) +
-                  8.0 * 2.0 * static_cast<double>(batch) *
-                      static_cast<double>(nnz));
-          Tensor gv = Tensor::ForOverwrite({batch, nnz});
-          const float* gp = g.data();
-          const float* xp = xn->value.data();
-          float* gvp = gv.mutable_data();
-          ParallelForItems(batch, nnz, RowGrain(2 * c),
-                           [&](int64_t b, int64_t s0, int64_t s1) {
-                             kern.spmm_grad_values(
-                                 index->slot_rows.data(),
-                                 index->col_ids.data() + b * nnz,
-                                 gp + b * rows * c, xp + b * cols * c, s0, s1,
-                                 c, gvp + b * nnz);
-                           });
-          vn->AccumulateGrad(gv);
+          vn->AccumulateGrad(SpmmCsrGradValues(*index, g, xn->value));
         }
         if (xn->needs_grad) {
-          TGCRN_TRACE_SCOPE("spmm.SpmmCsrGradX");
-          obs::RecordKernelCost(
-              "spmm.SpmmCsrGradX",
-              2.0 * static_cast<double>(batch) * static_cast<double>(nnz) *
-                  static_cast<double>(c),
-              4.0 * (static_cast<double>(batch) * static_cast<double>(nnz) *
-                         static_cast<double>(c) +
-                     static_cast<double>(batch) * static_cast<double>(cols) *
-                         static_cast<double>(c) +
-                     static_cast<double>(batch) * static_cast<double>(nnz)) +
-                  8.0 * 2.0 * static_cast<double>(batch) *
-                      static_cast<double>(nnz));
-          index->BuildTranspose();  // no-op unless forward skipped it
-          Tensor gx = Tensor::ForOverwrite({batch, cols, c});
-          const float* gp = g.data();
-          const float* vals = vn->value.data();
-          float* gxp = gx.mutable_data();
-          const int64_t avg_in = std::max<int64_t>(1, nnz / cols);
-          ParallelForItems(
-              batch, cols, RowGrain(2 * avg_in * c),
-              [&](int64_t b, int64_t c0, int64_t c1) {
-                kern.spmm_t_cols(index->t_offsets.data() + b * (cols + 1),
-                                 index->t_slots.data() + b * nnz,
-                                 index->slot_rows.data(), vals + b * nnz,
-                                 gp + b * rows * c, c0, c1, c,
-                                 gxp + b * cols * c);
-              });
-          xn->AccumulateGrad(gx);
+          xn->AccumulateGrad(SpmmCsrGradX(index.get(), vn->value, g));
         }
       });
 }

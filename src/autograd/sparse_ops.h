@@ -47,6 +47,21 @@ SparseGraph SparsifyTopK(const Variable& dense, int64_t k);
 // thread count. Gradients flow to x and to graph.values.
 Variable SpmmCsr(const SparseGraph& graph, const Variable& x);
 
+// The tensor-level kernels under SpmmCsr, shared with the fused GCGRU step
+// (core/gcgru.cc). Each opens its own trace scope and records its cost.
+// values is [batch, nnz], x [batch, cols, c], g [batch, rows, c].
+// out[b, r, 0:c] = A_b x[b], with item b at out + b * rows * ldo and row r
+// of it at + r * ldo (ldo >= c).
+void SpmmCsrRows(const graph::CsrIndex& index, const Tensor& values,
+                 const Tensor& x, float* out, int64_t ldo);
+// Grad wrt the kept values: gv[b, s] = <g[b, row(s)], x[b, col(s)]>.
+Tensor SpmmCsrGradValues(const graph::CsrIndex& index, const Tensor& g,
+                         const Tensor& x);
+// Grad wrt the dense operand: A_b^T g[b], [batch, cols, c]. Builds the
+// index's transpose lists if they are missing.
+Tensor SpmmCsrGradX(graph::CsrIndex* index, const Tensor& values,
+                    const Tensor& g);
+
 }  // namespace ag
 }  // namespace tgcrn
 

@@ -197,6 +197,11 @@ NodeRef NewOpNode(Tensor value, const Variable* parents,
   return ref;
 }
 
+void* AllocateInStep(size_t bytes, size_t align) {
+  GraphArena& ga = ThreadGraphArena();
+  return ga.active() ? ga.arena.Allocate(bytes, align) : nullptr;
+}
+
 GraphArenaStats ThreadGraphArenaStats() {
   GraphArena& ga = ThreadGraphArena();
   GraphArenaStats stats;

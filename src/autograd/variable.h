@@ -270,6 +270,11 @@ NodeRef NewLeafNode(Tensor value, bool requires_grad);
 // is dropped (parents stay empty) and the caller skips the closure.
 NodeRef NewOpNode(Tensor value, const Variable* parents, size_t num_parents);
 
+// Storage of `bytes` (align <= alignof(std::max_align_t)) in this thread's
+// step arena while a StepArenaScope is active, reclaimed when the outermost
+// scope ends; nullptr when no scope is active.
+void* AllocateInStep(size_t bytes, size_t align);
+
 // Per-thread arena introspection (tests and benchmarks).
 struct GraphArenaStats {
   bool in_step = false;            // a StepArenaScope is active
@@ -375,6 +380,43 @@ Variable MakeOpNode(Tensor value, std::vector<Variable> parents,
   if (node->needs_grad) node->backward_fn.Emplace(std::move(backward_fn));
   return Variable::FromNode(std::move(node));
 }
+
+// Owner of one fused op's saved activations, held by its backward
+// closure (too big for BackwardFn's inline storage). Built in the step
+// arena while a StepArenaScope is active, so steady-state training does no
+// heap allocation for it, and on the heap otherwise. Destroying the owner
+// (with its node) destroys the object; the arena reclaims the bytes at
+// scope end. Like an arena node, it must not outlive the scope that built
+// it.
+template <typename T>
+class SavedState {
+ public:
+  SavedState() {
+    void* mem = internal::AllocateInStep(sizeof(T), alignof(T));
+    heap_ = mem == nullptr;
+    if (heap_) mem = ::operator new(sizeof(T));
+    ptr_ = ::new (mem) T();
+  }
+  SavedState(SavedState&& other) noexcept
+      : ptr_(other.ptr_), heap_(other.heap_) {
+    other.ptr_ = nullptr;
+  }
+  SavedState(const SavedState&) = delete;
+  SavedState& operator=(const SavedState&) = delete;
+  SavedState& operator=(SavedState&&) = delete;
+  ~SavedState() {
+    if (ptr_ == nullptr) return;
+    ptr_->~T();
+    if (heap_) ::operator delete(ptr_);
+  }
+
+  T* operator->() const { return ptr_; }
+  T& operator*() const { return *ptr_; }
+
+ private:
+  T* ptr_ = nullptr;
+  bool heap_ = false;
+};
 
 // RAII inference mode: while alive, ops on this thread build no graph
 // nodes and no backward closures — MakeOpNode returns a bare leaf, the

@@ -3,17 +3,21 @@
 // flags, each bound to a destination. A numeric value parses only if the
 // whole string is one in-range number of the destination type — "12abc",
 // "", " 5", "abc" and overflow all fail, where std::sto* would throw or
-// silently accept a prefix.
+// silently accept a prefix. EnvIntOrDie applies the same rule to integer
+// environment variables.
 #ifndef TGCRN_COMMON_FLAGS_H_
 #define TGCRN_COMMON_FLAGS_H_
 
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <string>
 #include <type_traits>
 #include <utility>
+
+#include "common/check.h"
 
 namespace tgcrn {
 
@@ -54,6 +58,22 @@ class Flags {
  private:
   std::map<std::string, std::function<bool(const std::string&)>> flags_;
 };
+
+// `value`, the contents of the environment variable `name` (getenv),
+// as one whole-string integer, or `fallback` when it is unset or empty.
+// Any other value that is not a single in-range integer of type T ("abc",
+// "16k", "2x", " 5") aborts, naming the variable and the value: a typo
+// must not silently change the run.
+template <typename T>
+T EnvIntOrDie(const char* name, const char* value, T fallback) {
+  if (value == nullptr || *value == '\0') return fallback;
+  T parsed{};
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  TGCRN_CHECK(ec == std::errc() && ptr == end)
+      << name << "=\"" << value << "\" is not an integer";
+  return parsed;
+}
 
 }  // namespace tgcrn
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "obs/prof.h"
 
 namespace tgcrn {
@@ -116,10 +117,9 @@ class ThreadPool {
   explicit ThreadPool(int total_threads) { StartWorkers(total_threads); }
 
   static int DefaultNumThreads() {
-    if (const char* env = std::getenv("TGCRN_NUM_THREADS")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) return parsed;
-    }
+    const int parsed = EnvIntOrDie<int>(
+        "TGCRN_NUM_THREADS", std::getenv("TGCRN_NUM_THREADS"), 0);
+    if (parsed > 0) return parsed;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
   }

@@ -25,8 +25,8 @@ namespace core {
 // The aggregation operand of one recurrent step: either the dense
 // normalized adjacency [B, N, N] or its top-k CSR form (the
 // TGCRN_GRAPH_TOPK execution path). Exactly one side is set; the GCGRU
-// dispatches its spatial aggregation to dense batched matmul or to
-// ag::SpmmCsr accordingly.
+// step runs its spatial aggregation as a batched GEMM or as CSR SpMM
+// (ag::SpmmCsrRows) accordingly.
 struct Adjacency {
   ag::Variable dense;
   ag::SparseGraph sparse;
@@ -39,6 +39,27 @@ struct Adjacency {
   bool defined() const { return dense.defined() || sparse.defined(); }
 };
 
+// The parameter-only products of one cell: the node halves of the
+// node-adaptive weights of Eq 13-15, W_nu = E_nu pool_w_node and
+// b_nu = E_nu pool_b_node, for the gates and the candidate, plus (for
+// batches wide enough to pay for it) each node's W_nu slice packed for the
+// GEMM kernel. Packed or not, the step's values are the same bits. They
+// depend on parameters alone, so a forward pass computes them once
+// (GCGRUCell::HoistWeights) instead of at every step; TGCRNState keeps
+// them for the pass it drives. They are valid only while the parameters
+// keep the values they had when hoisted — a new pass (or serving wave)
+// hoists again.
+struct GCGRUWeights {
+  Tensor gates_w;        // [N, 2C * 2H]
+  Tensor gates_b;        // [N, 2H]
+  Tensor gates_packed;   // N panel sets of gates_w[n] as (2C x 2H), or empty
+  Tensor cand_w;         // [N, 2C * H]
+  Tensor cand_b;         // [N, H]
+  Tensor cand_packed;    // N panel sets of cand_w[n] as (2C x H), or empty
+
+  bool defined() const { return gates_w.numel() > 0; }
+};
+
 class GCGRUCell : public nn::Module {
  public:
   // node_embed_dim is d_nu; time_embed_dim is d_tau (0 disables the
@@ -46,33 +67,41 @@ class GCGRUCell : public nn::Module {
   GCGRUCell(int64_t input_dim, int64_t hidden_dim, int64_t node_embed_dim,
             int64_t time_embed_dim, Rng* rng);
 
-  // One recurrent step.
+  // One recurrent step, Eq 13-16 fused into one tensor-level step (the
+  // gates, the candidate and the blend).
   //   x:          [B, N, input_dim]   current input
   //   h:          [B, N, hidden_dim]  previous hidden state
   //   adj:        dense [B, N, N] or top-k CSR adjacency (see Adjacency)
   //   node_embed: [N, d_nu]           E_nu
   //   time_embed: [B, d_tau]          E_tau at this step (undefined Variable
   //                                   when constructed with d_tau == 0)
-  // Returns the next hidden state [B, N, hidden_dim].
+  // Returns the next hidden state [B, N, hidden_dim]. While gradients are
+  // recorded and some input needs them, the step is ONE autograd node whose
+  // hand-written backward routes gradients to x, h, the adjacency, E_nu,
+  // E_tau and the eight pools in the order the op-by-op cell did; under
+  // NoGradGuard (eval, serving) it runs on plain tensors and records
+  // nothing. This overload hoists the weights itself.
   ag::Variable Forward(const ag::Variable& x, const ag::Variable& h,
                        const Adjacency& adj, const ag::Variable& node_embed,
                        const ag::Variable& time_embed) const;
+  // Same step with weights hoisted earlier from the same node_embed and
+  // the cell's current parameters (bitwise the values the overload above
+  // computes).
+  ag::Variable Forward(const ag::Variable& x, const ag::Variable& h,
+                       const Adjacency& adj, const ag::Variable& node_embed,
+                       const ag::Variable& time_embed,
+                       const GCGRUWeights& weights) const;
+
+  // W_nu and b_nu for both convolutions, by the same Tensor::Matmul calls
+  // the op-by-op cell made at every step, packed per node when `batch`
+  // (the B the weights will serve) reaches the GEMM packing cutover.
+  GCGRUWeights HoistWeights(const ag::Variable& node_embed,
+                            int64_t batch) const;
 
   int64_t hidden_dim() const { return hidden_dim_; }
   int64_t input_dim() const { return input_dim_; }
 
  private:
-  // (adj @ value) W + b with the factorized node/time weight pools.
-  ag::Variable NodeAdaptiveConv(const ag::Variable& value,
-                                const Adjacency& adj,
-                                const ag::Variable& node_embed,
-                                const ag::Variable& time_embed,
-                                const ag::Variable& pool_w_node,
-                                const ag::Variable& pool_w_time,
-                                const ag::Variable& pool_b_node,
-                                const ag::Variable& pool_b_time,
-                                int64_t in_dim, int64_t out_dim) const;
-
   int64_t input_dim_;
   int64_t hidden_dim_;
   int64_t node_embed_dim_;

@@ -270,7 +270,7 @@ std::shared_ptr<const SelectPrefix> TagSL::AcquireSelectPrefix(
       const int64_t rows = std::min(kSelectTileRows, n - r0);
       gemm_kernels.gemm_rows(embed + r0 * d_nu, d_nu, 1,
                              prefix->packed_e.data(), 0, rows, d_nu, n,
-                             a_tile.data());
+                             a_tile.data(), n);
       for (int64_t r = 0; r < rows; ++r) {
         const int32_t* hint =
             previous != nullptr
@@ -438,13 +438,13 @@ void TagSL::SelectTopK(const float* x, int64_t batch, int64_t channels,
           if (full_row != r) {
             gemm_kernels.gemm_rows(prefix->embed.data() + r * d_nu, d_nu, 1,
                                    prefix->packed_e.data(), 0, 1, d_nu, n,
-                                   a_row);
+                                   a_row, n);
             full_row = r;
           }
           if (use_pdf) {
             gemm_kernels.gemm_rows(xb + r * channels, channels, 1,
                                    packed->data() + b * packed_x_count, 0,
-                                   1, channels, n, score);
+                                   1, channels, n, score, n);
           }
           ClipScores(a_row, eta_b, use_pdf, pdf_scale, alpha,
                          vmath_kernels, n, score);

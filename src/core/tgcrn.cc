@@ -7,6 +7,21 @@
 
 namespace tgcrn {
 namespace core {
+namespace {
+
+// The hoisted weights of cells[layer] in a state's per-pass cache,
+// computed on first use for a batch of `batch`.
+const GCGRUWeights& HoistedWeights(
+    const std::vector<std::unique_ptr<GCGRUCell>>& cells, int64_t layer,
+    const ag::Variable& node_embed, int64_t batch,
+    std::vector<GCGRUWeights>* weights) {
+  weights->resize(cells.size());
+  GCGRUWeights& w = (*weights)[layer];
+  if (!w.defined()) w = cells[layer]->HoistWeights(node_embed, batch);
+  return w;
+}
+
+}  // namespace
 
 TGCRN::TGCRN(const TGCRNConfig& config, Rng* rng)
     : config_(config), sampling_rng_(config.sampling_seed) {
@@ -184,9 +199,11 @@ void TGCRN::EncoderStep(const ag::Variable& x,
     if (state->steps % refresh == 0 || !state->cached_adj[l].defined()) {
       state->cached_adj[l] = BuildAdjacency(input, slots, prev);
     }
-    input = encoder_cells_[l]->Forward(input, state->hidden[l],
-                                       state->cached_adj[l],
-                                       tagsl_->node_embedding(), time_embed);
+    input = encoder_cells_[l]->Forward(
+        input, state->hidden[l], state->cached_adj[l],
+        tagsl_->node_embedding(), time_embed,
+        HoistedWeights(encoder_cells_, l, tagsl_->node_embedding(),
+                       x.size(0), &state->encoder_weights));
     if (config_.inter_layer_dropout > 0.0f && l + 1 < config_.num_layers) {
       input = ag::Dropout(input, config_.inter_layer_dropout, training(),
                           &sampling_rng_);
@@ -235,10 +252,11 @@ ag::Variable TGCRN::DecoderForecast(
       if (q % refresh == 0 || !state->cached_adj[l].defined()) {
         state->cached_adj[l] = BuildAdjacency(input, slots, prev_slots);
       }
-      input = decoder_cells_[l]->Forward(input, state->hidden[l],
-                                         state->cached_adj[l],
-                                         tagsl_->node_embedding(),
-                                         time_embed);
+      input = decoder_cells_[l]->Forward(
+          input, state->hidden[l], state->cached_adj[l],
+          tagsl_->node_embedding(), time_embed,
+          HoistedWeights(decoder_cells_, l, tagsl_->node_embedding(), b,
+                         &state->decoder_weights));
       state->hidden[l] = input;
     }
     ag::Variable y =

@@ -72,12 +72,17 @@ struct TGCRNConfig {
 // step inside a full P-window Forward — the property the serving layer
 // (src/serve) relies on to advance entities one observation at a time
 // instead of replaying windows. Copying a state copies cheap shared
-// handles, not tensor storage.
+// handles, not tensor storage. The cells' parameter-only products
+// (GCGRUCell::HoistWeights) are computed on first use and kept for the
+// state's lifetime — once per training forward pass, serving wave or
+// forecast — so a state must not outlive a parameter update.
 struct TGCRNState {
   std::vector<ag::Variable> hidden;   // per layer [B, N, hidden_dim]
   std::vector<Adjacency> cached_adj;  // per layer, refresh-interval cache
   std::vector<int64_t> last_slots;    // per sample; empty before any step
   int64_t steps = 0;                  // encoder steps consumed
+  std::vector<GCGRUWeights> encoder_weights;  // per layer, lazily hoisted
+  std::vector<GCGRUWeights> decoder_weights;
 
   bool initialized() const { return !hidden.empty(); }
 };

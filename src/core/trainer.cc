@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "autograd/ops.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/json.h"
@@ -82,10 +83,8 @@ std::vector<metrics::Metrics> EvaluateModel(
 }
 
 int64_t GraphTopKFromEnv() {
-  if (const char* env = std::getenv("TGCRN_GRAPH_TOPK")) {
-    return static_cast<int64_t>(std::strtoll(env, nullptr, 10));
-  }
-  return -1;
+  return EnvIntOrDie<int64_t>("TGCRN_GRAPH_TOPK",
+                              std::getenv("TGCRN_GRAPH_TOPK"), -1);
 }
 
 TrainResult TrainAndEvaluate(ForecastModel* model,

@@ -22,7 +22,7 @@
 //    outputs (m < kSmallMCutover), where packing traffic would rival
 //    the whole multiply: direct reads B (k x n) row-major in place;
 //    dot computes c[i][j] = <a_row_i, b_row_j> from two row-major
-//    operands (the m=1 GCGRU backward shape).
+//    operands (the transposed-B backward of a few-row product).
 //  * gather_dots: single elements of one output row against gathered
 //    columns, rounded exactly as gemm_rows rounds them (the sparse
 //    TagSL selection walk scores only the candidates it visits).
@@ -71,10 +71,12 @@ struct Kernels {
   // transpose_b: the source buffer is (n x k) row-major.
   void (*pack_b)(const float* b, int64_t k, int64_t n, bool transpose_b,
                  float* out);
-  // C rows [i0, i1): c[i * n + j] = sum_kk A(i, kk) * B_packed(kk, j).
+  // C rows [i0, i1): c[i * ldc + j] = sum_kk A(i, kk) * B_packed(kk, j)
+  // for j < n (ldc >= n; the fused GCGRU step writes straight into a
+  // column block of a wider buffer).
   void (*gemm_rows)(const float* a, int64_t a_row_stride,
                     int64_t a_col_stride, const float* packed_b, int64_t i0,
-                    int64_t i1, int64_t k, int64_t n, float* c);
+                    int64_t i1, int64_t k, int64_t n, float* c, int64_t ldc);
   // Same contract, but B is read in place as a (k x n) row-major buffer.
   void (*gemm_rows_direct)(const float* a, int64_t a_row_stride,
                            int64_t a_col_stride, const float* b, int64_t i0,
@@ -83,8 +85,8 @@ struct Kernels {
   // row-major): c[i * n + j] = <a_row_i, b_row_j>.
   void (*dot_rows)(const float* a, const float* b, int64_t i0, int64_t i1,
                    int64_t k, int64_t n, float* c);
-  // Batched m=1 path (the GCGRU per-node shape: a batch of row vectors
-  // times a batch of (k x n) matrices). Computes output matrices
+  // Batched m=1 path (a batch of row vectors times a batch of (k x n)
+  // matrices, e.g. a one-row E_tau times a pool). Computes output matrices
   // [mat0, mat1), one n-wide row each:
   //   c[mi * n + j] = sum_kk a[a_mats[mi] * a_elems + kk]
   //                        * b[b_mats[mi] * b_elems + kk * n + j]

@@ -74,7 +74,7 @@ inline void MicroPanel(const float* apack, const float* bp, int64_t kc,
 template <int MR>
 void RowBlock(const float* a, int64_t a_row_stride, int64_t a_col_stride,
               const float* packed_b, int64_t i, int64_t k, int64_t n,
-              float* c) {
+              float* c, int64_t ldc) {
   const int64_t full_panels = n / kNr;
   const int64_t rem = n - full_panels * kNr;
   alignas(32) float tail_tile[kMr * kNr];
@@ -90,7 +90,7 @@ void RowBlock(const float* a, int64_t a_row_stride, int64_t a_col_stride,
     const bool first = k0 == 0;
     for (int64_t p = 0; p < full_panels; ++p) {
       const float* bp = packed_b + p * k * kNr + k0 * kNr;
-      MicroPanel<MR>(apack, bp, kc, c + i * n + p * kNr, n, first);
+      MicroPanel<MR>(apack, bp, kc, c + i * ldc + p * kNr, ldc, first);
     }
     if (rem > 0) {
       const float* bp = packed_b + full_panels * k * kNr + k0 * kNr;
@@ -100,29 +100,31 @@ void RowBlock(const float* a, int64_t a_row_stride, int64_t a_col_stride,
   if (rem > 0) {
     for (int r = 0; r < MR; ++r) {
       std::copy(tail_tile + r * kNr, tail_tile + r * kNr + rem,
-                c + (i + r) * n + full_panels * kNr);
+                c + (i + r) * ldc + full_panels * kNr);
     }
   }
 }
 
 void GemmRowsAvx2(const float* a, int64_t a_row_stride, int64_t a_col_stride,
                   const float* packed_b, int64_t i0, int64_t i1, int64_t k,
-                  int64_t n, float* c) {
+                  int64_t n, float* c, int64_t ldc) {
   if (n == 0) return;
   if (k == 0) {
-    std::fill(c + i0 * n, c + i1 * n, 0.0f);
+    for (int64_t i = i0; i < i1; ++i) {
+      std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+    }
     return;
   }
   int64_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    RowBlock<6>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c);
+    RowBlock<6>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c, ldc);
   }
   switch (i1 - i) {
-    case 1: RowBlock<1>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c); break;
-    case 2: RowBlock<2>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c); break;
-    case 3: RowBlock<3>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c); break;
-    case 4: RowBlock<4>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c); break;
-    case 5: RowBlock<5>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c); break;
+    case 1: RowBlock<1>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c, ldc); break;
+    case 2: RowBlock<2>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c, ldc); break;
+    case 3: RowBlock<3>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c, ldc); break;
+    case 4: RowBlock<4>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c, ldc); break;
+    case 5: RowBlock<5>(a, a_row_stride, a_col_stride, packed_b, i, k, n, c, ldc); break;
     default: break;
   }
 }

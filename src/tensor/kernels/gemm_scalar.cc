@@ -36,10 +36,10 @@ void PackBScalar(const float* b, int64_t k, int64_t n, bool transpose_b,
 
 void GemmRowsScalar(const float* a, int64_t a_row_stride, int64_t a_col_stride,
                     const float* packed_b, int64_t i0, int64_t i1, int64_t k,
-                    int64_t n, float* c) {
+                    int64_t n, float* c, int64_t ldc) {
   const int64_t panels = (n + kNr - 1) / kNr;
   for (int64_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
+    float* crow = c + i * ldc;
     std::fill(crow, crow + n, 0.0f);
     // k blocked by kKc for cache residency; per element the accumulation
     // order is still plain ascending k.

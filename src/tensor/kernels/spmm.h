@@ -28,11 +28,11 @@ namespace spmm {
 // `values`/`col_ids` are that item's nnz-long slot arrays, `x` its dense
 // [cols, c] operand, `out`/`g` its dense [rows, c] output/gradient.
 struct Kernels {
-  // Forward rows [r0, r1):
+  // Forward rows [r0, r1), output row r at out + r * ldo (ldo >= c):
   //   out[r, :] = sum_{s in row r, ascending} values[s] * x[col_ids[s], :]
   void (*spmm_rows)(const int64_t* row_offsets, const int64_t* col_ids,
                     const float* values, const float* x, int64_t r0,
-                    int64_t r1, int64_t c, float* out);
+                    int64_t r1, int64_t c, float* out, int64_t ldo);
   // Transpose-backward columns [c0, c1) (grad wrt the dense operand):
   //   gx[col, :] = sum_{s in CSC list of col, ascending} values[s]
   //                * g[slot_rows[s], :]

@@ -56,9 +56,9 @@ inline void ZeroRow(float* out, int64_t c) {
 
 void SpmmRowsAvx2(const int64_t* row_offsets, const int64_t* col_ids,
                   const float* values, const float* x, int64_t r0, int64_t r1,
-                  int64_t c, float* out) {
+                  int64_t c, float* out, int64_t ldo) {
   for (int64_t r = r0; r < r1; ++r) {
-    float* orow = out + r * c;
+    float* orow = out + r * ldo;
     ZeroRow(orow, c);
     for (int64_t s = row_offsets[r]; s < row_offsets[r + 1]; ++s) {
       AxpyRow(values[s], x + col_ids[s] * c, c, orow);

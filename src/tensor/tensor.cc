@@ -575,8 +575,7 @@ Tensor BatchedMatmulImpl(const Tensor& a, const Tensor& b, MatmulMode mode) {
   // Walk the broadcast batch index once up front, recording which operand
   // matrix each output matrix reads; the row loop below is then free to
   // run in any order across threads. When neither operand broadcasts the
-  // map is the identity (a null map below) and the walk is skipped — the
-  // per-step m=1 GCGRU shapes hit this path thousands of times.
+  // map is the identity (a null map below) and the walk is skipped.
   const bool dense_batch = a_batch == batch && b_batch == batch;
   std::vector<int64_t> a_mats, b_mats;
   if (!dense_batch) {
@@ -624,11 +623,10 @@ Tensor BatchedMatmulImpl(const Tensor& a, const Tensor& b, MatmulMode mode) {
       1, kMatmulGrainFlops / std::max<int64_t>(1, red * n));
 
   if (m == 1 && mode != MatmulMode::kTransposeB) {
-    // Batch of row vectors times a batch of matrices (the GCGRU
-    // per-node shape): the matrix loop lives inside the kernel, one
-    // indirect call per chunk. With m == 1 the transpose-A operand is a
-    // (red x 1) column, contiguous like the kNN row, so both modes
-    // share this path.
+    // Batch of row vectors times a batch of matrices: the matrix loop
+    // lives inside the kernel, one indirect call per chunk. With m == 1
+    // the transpose-A operand is a (red x 1) column, contiguous like the
+    // kNN row, so both modes share this path.
     common::ParallelFor(
         0, batch_n, grain_rows, [&](int64_t mat_b, int64_t mat_e) {
           kern.m1_batch(pa, a_map, a_mat_elems, pb, b_map, b_mat_elems, mat_b,
@@ -638,8 +636,7 @@ Tensor BatchedMatmulImpl(const Tensor& a, const Tensor& b, MatmulMode mode) {
   }
 
   if (m < gemm::kSmallMCutover) {
-    // Tall-skinny outputs (the m=1 GCGRU shapes): no packing, B is read
-    // in place.
+    // Tall-skinny outputs: no packing, B is read in place.
     common::ParallelFor(
         0, batch_n * m, grain_rows, [&](int64_t row_begin, int64_t row_end) {
           int64_t r = row_begin;
@@ -693,7 +690,7 @@ Tensor BatchedMatmulImpl(const Tensor& a, const Tensor& b, MatmulMode mode) {
           float* C = po + bi * m * n;
           kern.gemm_rows(A, ars, acs,
                          packed + (b_map ? b_map[bi] : bi) * per_matrix, i,
-                         i + run, red, n, C);
+                         i + run, red, n, C, n);
           r += run;
         }
       });

@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include "autograd/ops.h"
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
+#include "core/gcgru.h"
 #include "core/tgcrn.h"
 #include "core/trainer.h"
 #include "datagen/metro_sim.h"
@@ -302,6 +304,64 @@ TEST(ProfDeterminismTest, MatmulFlopModelMatchesShape) {
   EXPECT_DOUBLE_EQ(kernel->bytes,
                    4.0 * (32 * 80 + 80 * 24 + 32 * 24));
   EXPECT_GT(kernel->ArithmeticIntensity(), 0.0);
+}
+
+// The fused GCGRU step is its own cost row: gcgru.Step and
+// gcgru.StepBackward are charged an analytic model of the step's own loops
+// (the Tensor kernels it calls keep their rows), from the shapes alone —
+// pinned here to the formula and to being the same at every thread count.
+TEST(ProfDeterminismTest, GcgruStepCostModelMatchesShape) {
+  const int64_t b = 4, n = 9, cin = 2, hid = 5;
+  Rng rng(91);
+  core::GCGRUCell cell(cin, hid, 4, 3, &rng);
+  ag::Variable x(Tensor::RandUniform({b, n, cin}, -1, 1, &rng), true);
+  ag::Variable h(Tensor::RandUniform({b, n, hid}, -1, 1, &rng), true);
+  ag::Variable adj(Tensor::Full({b, n, n}, 1.0f / n), true);
+  ag::Variable node_embed(Tensor::RandUniform({n, 4}, -1, 1, &rng), true);
+  ag::Variable time_embed(Tensor::RandUniform({b, 3}, -1, 1, &rng), true);
+
+  // Forward: per convolution (o = 2H gates, H candidate) the dense
+  // aggregation, the node term and the three bias adds; then sigmoid,
+  // tanh, r * h and the Eq 16 blend.
+  const double rows = b * n;
+  const double c = cin + hid;
+  double fwd_flops = 10.0 * rows * 2 * hid + 12.0 * rows * hid + rows * hid +
+                     5.0 * rows * hid;
+  double fwd_bytes = 4.0 * rows * (cin + 4.0 * hid);
+  double bwd_flops = 9.0 * rows * hid + 7.0 * rows * 2 * hid +
+                     2.0 * rows * cin + 3.0 * rows * hid;
+  double bwd_bytes = 4.0 * rows * (3.0 * cin + 12.0 * hid);
+  for (const double o : {2.0 * hid, 1.0 * hid}) {
+    fwd_flops += 2.0 * b * n * n * c + 2.0 * rows * 2 * c * o + 3.0 * rows * o;
+    fwd_bytes += 4.0 * (b * n * n + 2.0 * rows * c) +
+                 4.0 * (rows * 3 * c + n * 2 * c * o + 2.0 * rows * o);
+    bwd_flops += 2.0 * rows * 2 * c * o + 2.0 * rows * o +
+                 2.0 * rows * 2 * c + rows * c;
+    bwd_bytes += 4.0 * (rows * o * 3 + rows * 2 * c * 4 + n * 2 * c * o);
+  }
+
+  for (const int threads : {1, 2, 4, 8}) {
+    ScopedNumThreads thread_guard(threads);
+    ScopedProfiler profiler;
+    {
+      ag::StepArenaScope arena;
+      ag::SumAll(cell.Forward(x, h, adj, node_embed, time_embed)).Backward();
+    }
+    const obs::ProfReport report = obs::CollectProfReport();
+    const obs::ProfKernelReport* step = FindKernel(report, "gcgru.Step");
+    const obs::ProfKernelReport* back =
+        FindKernel(report, "gcgru.StepBackward");
+    ASSERT_NE(step, nullptr) << threads;
+    ASSERT_NE(back, nullptr) << threads;
+    EXPECT_EQ(step->invocations, 1);
+    EXPECT_EQ(back->invocations, 1);
+    EXPECT_EQ(step->flops, fwd_flops) << threads;
+    EXPECT_EQ(step->bytes, fwd_bytes) << threads;
+    EXPECT_EQ(back->flops, bwd_flops) << threads;
+    EXPECT_EQ(back->bytes, bwd_bytes) << threads;
+    EXPECT_NE(FindNode(report, "gcgru.Step"), nullptr);
+    EXPECT_NE(FindNode(report, "gcgru.StepBackward"), nullptr);
+  }
 }
 
 // ------------------------------------------------- perf_event fallback --

@@ -310,7 +310,7 @@ TEST(GemmGatherDotsTest, MatchesGemmRowsBitwise) {
       kernels.pack_b(b.data(), k, n, /*transpose_b=*/true, packed.data());
       std::vector<float> row(n);
       kernels.gemm_rows(a.data(), k, 1, packed.data(), 0, 1, k, n,
-                        row.data());
+                        row.data(), n);
       for (const int64_t count : {1, 8, 16, 23}) {
         std::vector<int32_t> cols(count);
         for (int32_t& c : cols) {

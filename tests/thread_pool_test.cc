@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -259,6 +261,49 @@ TEST(ThreadPoolTest, DeterministicSumEdgeCases) {
   EXPECT_EQ(DeterministicChunkedSum(16, 16, ident), 16.0);   // exactly 1 chunk
   EXPECT_EQ(DeterministicChunkedSum(17, 16, ident), 17.0);   // ragged tail
   EXPECT_EQ(DeterministicChunkedSum(1000, 1, ident), 1000.0);  // 1000 chunks
+}
+
+// TGCRN_NUM_THREADS is one whole integer: a malformed value stops the
+// process naming the variable and the value (atoi read "2x" as 2).
+TEST(ThreadPoolEnvDeathTest, MalformedNumThreadsAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"2x", "abc", " 4", "4 ", "1.5", "99999999999"}) {
+    EXPECT_DEATH(
+        {
+          setenv("TGCRN_NUM_THREADS", bad, 1);
+          SetNumThreads(0);  // back to the env default: re-reads it
+        },
+        "TGCRN_NUM_THREADS=\".*\" is not an integer")
+        << bad;
+  }
+}
+
+// Valid values keep their meaning: n > 0 is the width, 0 or a negative
+// value (or an empty one) the hardware concurrency.
+TEST(ThreadPoolEnvDeathTest, ValidNumThreadsKeepMeaning) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("TGCRN_NUM_THREADS", "3", 1);
+        SetNumThreads(0);
+        std::exit(GetNumThreads() == 3 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  for (const char* fallback : {"0", "-2", ""}) {
+    EXPECT_EXIT(
+        {
+          setenv("TGCRN_NUM_THREADS", "3", 1);
+          SetNumThreads(0);
+          setenv("TGCRN_NUM_THREADS", fallback, 1);
+          SetNumThreads(0);
+          const unsigned hw = std::thread::hardware_concurrency();
+          std::exit(GetNumThreads() == (hw > 0 ? static_cast<int>(hw) : 1)
+                        ? 0
+                        : 1);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << fallback;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "core/trainer.h"
 
 #include <chrono>
+#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +171,43 @@ TEST_F(TrainerFixture, EvaluationRunsInInferenceMode) {
   config.verbose = false;
   core::TrainAndEvaluate(&model, *dataset_, config);
   EXPECT_GT(fwd->Value(), before);
+}
+
+// TGCRN_GRAPH_TOPK is one whole integer: "abc" used to read as 0 (the
+// dense model) and "16k" as 16; both now stop the process naming the
+// variable and the value. Valid values keep their meaning.
+TEST(GraphTopKEnvDeathTest, MalformedValueAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"abc", "16k", "8 ", " 8", "0x10", "1e3"}) {
+    EXPECT_DEATH(
+        {
+          setenv("TGCRN_GRAPH_TOPK", bad, 1);
+          (void)core::GraphTopKFromEnv();
+        },
+        "TGCRN_GRAPH_TOPK=\".*\" is not an integer")
+        << bad;
+  }
+}
+
+TEST(GraphTopKEnvDeathTest, ValidValuesKeepMeaning) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const bool ok = [] {
+          unsetenv("TGCRN_GRAPH_TOPK");
+          if (core::GraphTopKFromEnv() != -1) return false;
+          setenv("TGCRN_GRAPH_TOPK", "", 1);
+          if (core::GraphTopKFromEnv() != -1) return false;
+          setenv("TGCRN_GRAPH_TOPK", "8", 1);
+          if (core::GraphTopKFromEnv() != 8) return false;
+          setenv("TGCRN_GRAPH_TOPK", "0", 1);
+          if (core::GraphTopKFromEnv() != 0) return false;
+          setenv("TGCRN_GRAPH_TOPK", "-1", 1);
+          return core::GraphTopKFromEnv() == -1;
+        }();
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
