@@ -14,6 +14,7 @@
 #include "core/time_encoders.h"
 #include "graph/csr.h"
 #include "obs/prof.h"
+#include "serve/wire.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/tensor.h"
 
@@ -502,21 +503,33 @@ BENCHMARK(BM_AggregationNSweep)
     ->Args({2048, 1})
     ->Args({4096, 1});
 
+// The dense TagSL graph (Eq 6-11) at B = 16, C = 2, d_nu = 12, d_tau = 8:
+// n nodes; bwd: 1 adds the graph's backward (seeded with ones), with x
+// taking gradients as a deeper layer's input does.
 void BM_TagslBuildGraph(benchmark::State& state) {
   const int64_t n = state.range(0);
+  const bool backward = state.range(1) != 0;
   Rng rng(6);
   core::DiscreteTimeEmbedding encoder(72, 8, &rng);
   core::TagSL::Options options;
   options.num_nodes = n;
   options.node_dim = 12;
   core::TagSL tagsl(options, &encoder, &rng);
-  ag::Variable x(Tensor::RandUniform({16, n, 2}, -1, 1, &rng));
+  ag::Variable x(Tensor::RandUniform({16, n, 2}, -1, 1, &rng), backward);
   std::vector<int64_t> slots(16, 10), prev(16, 9);
+  const Tensor ones = Tensor::Ones({16, n, n});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tagsl.BuildGraph(x, slots, prev));
+    ag::StepArenaScope arena;
+    ag::Variable graph = tagsl.BuildGraph(x, slots, prev);
+    if (backward) graph.Backward(ones);
+    benchmark::DoNotOptimize(graph.value().data());
   }
+  StampIsa(state);
 }
-BENCHMARK(BM_TagslBuildGraph)->Arg(20)->Arg(64);
+BENCHMARK(BM_TagslBuildGraph)
+    ->ArgNames({"n", "bwd"})
+    ->ArgsProduct({{20, 64}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 // The exact top-k selection stage of the sparse path's graph build
 // (TagSL::BuildSparseGraph, no autograd) at the city-sparse shape: B = 4,
@@ -612,6 +625,33 @@ BENCHMARK(BM_GcgruStep)
     ->ArgNames({"layer", "topk", "bwd"})
     ->ArgsProduct({{0, 1}, {0, 8}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
+
+// One forecast response at the metro-dense serving shape (Q = 12, N = 32,
+// D = 2): the streamed writer (serve/wire.h) into a reused buffer, as the
+// server appends into a connection's out buffer. bytes/s is the response
+// size per second.
+void BM_ForecastSerialize(benchmark::State& state) {
+  const int64_t q = 12, n = 32, d = 2;
+  Rng rng(9);
+  const Tensor grid = Tensor::RandUniform({q, n, d}, -50, 400, &rng);
+  serve::ForecastLine line;
+  line.entity = "station-17";
+  line.grid = grid.data();
+  line.horizon = q;
+  line.nodes = n;
+  line.dims = d;
+  line.steps = 288;
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    serve::AppendForecastLine(line, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(out.size()));
+  state.counters["bytes"] = static_cast<double>(out.size());
+}
+BENCHMARK(BM_ForecastSerialize)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace tgcrn

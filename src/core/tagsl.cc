@@ -39,55 +39,6 @@ TagSL::TagSL(const Options& options, const TimeEncoder* time_encoder,
       nn::NormalInit({options_.num_nodes, options_.node_dim}, 0.3f, rng));
 }
 
-ag::Variable TagSL::BuildRawGraph(const ag::Variable& x_t,
-                                  const std::vector<int64_t>& slots,
-                                  const std::vector<int64_t>& prev_slots)
-    const {
-  const int64_t batch = x_t.size(0);
-  TGCRN_CHECK_EQ(x_t.size(1), options_.num_nodes);
-
-  // Eq 6: static node-pair correlation, shared across the batch.
-  ag::Variable a_nu = ag::Matmul(node_embedding_,
-                                 ag::Transpose(node_embedding_, 0, 1));
-  ag::Variable base = ag::Unsqueeze(a_nu, 0);  // [1, N, N]
-
-  if (options_.use_time) {
-    TGCRN_CHECK_EQ(static_cast<int64_t>(slots.size()), batch);
-    TGCRN_CHECK_EQ(static_cast<int64_t>(prev_slots.size()), batch);
-    // Eq 7: trend factor from consecutive time representations. Scaled by
-    // 1/d_tau so its magnitude is invariant to the embedding width.
-    ag::Variable e_t = time_encoder_->Encode(slots);          // [B, d_tau]
-    ag::Variable e_prev = time_encoder_->Encode(prev_slots);  // [B, d_tau]
-    ag::Variable eta = ag::MulScalar(
-        ag::Sum(ag::Mul(e_t, e_prev), 1, /*keepdim=*/true),
-        1.0f / static_cast<float>(time_encoder_->dim()));  // [B, 1]
-    eta = ag::Unsqueeze(eta, 2);  // [B, 1, 1]
-    base = ag::Add(base, eta);    // broadcast -> [B, N, N]
-  }
-
-  if (options_.use_pdf) {
-    // Eq 8: the periodic discriminant maps the current node states to a
-    // bounded pattern matrix. The inner product is scaled by 1/sqrt(C)
-    // (paper uses raw <X, X^T>; the scaling keeps tanh out of saturation
-    // for z-scored features without changing its discriminative role).
-    const float scale =
-        1.0f / std::sqrt(static_cast<float>(x_t.size(2)));
-    ag::Variable a_rho = ag::Tanh(ag::MulScalar(
-        ag::Matmul(x_t, ag::Transpose(x_t, -2, -1)), scale));  // [B, N, N]
-    // Eq 9: (1 + alpha * sigmoid(A_rho)) expands the graph weights of the
-    // identified period.
-    ag::Variable gate =
-        ag::AddScalar(ag::MulScalar(ag::Sigmoid(a_rho), options_.alpha),
-                      1.0f);
-    base = ag::Mul(gate, base);
-  } else if (base.value().dim() == 3 && base.size(0) == 1 && batch > 1) {
-    // Keep the output batch-shaped even without batch-dependent terms.
-    base = ag::BroadcastTo(base, {batch, options_.num_nodes,
-                                  options_.num_nodes});
-  }
-  return base;
-}
-
 namespace {
 
 // Rows per A_nu tile of the prefix build (kSelectTileRows x N floats,
@@ -104,31 +55,39 @@ constexpr int64_t kWalkBlock = 16;
 // Smallest candidate depth of a prefix build (capped at N).
 constexpr int64_t kMinSelectDepth = 32;
 
-// Turns `len` Eq 6 scores `a_nu` into the relu'd raw scores of Eq 9 for
-// one batch item, in place in `score`, which holds the Eq 8 inner
-// products <x_i, x_j> on entry when use_pdf. Each step is a
-// separately rounded operation in the order of the dense path's tensor
-// ops (this file is built with -ffp-contract=off), and vmath is
-// lanewise, so the scores are bit-identical to BuildRawGraph's at each
-// ISA. Adding eta = 0 without use_time can only flip the sign of a zero,
-// which relu erases.
-void ClipScores(const float* a_nu, float eta, bool use_pdf,
-                float pdf_scale, float alpha,
-                const vmath::internal::Kernels& vmath_kernels, int64_t len,
-                float* score) {
+// Eq 8's discriminant for `len` inner products <x_i, x_j>: t = tanh of
+// the product scaled by pdf_scale, and sg = sigmoid(t). t and sg may be
+// `dot` itself (in place).
+void Discriminant(const float* dot, int64_t len, float pdf_scale,
+                  const vmath::internal::Kernels& vmath_kernels, float* t,
+                  float* sg) {
+  for (int64_t i = 0; i < len; ++i) t[i] = dot[i] * pdf_scale;
+  vmath_kernels.tanh_n(t, t, len);
+  vmath_kernels.sigmoid_n(t, sg, len);
+}
+
+// Turns `len` Eq 6 scores `a_nu` into Eq 9's entries of A^t for one batch
+// item, in place in `score`, which holds Eq 8's sigmoid(tanh(.)) on entry
+// when use_pdf; `clip` applies Eq 11's relu. eta points at the item's
+// trend factor, or is null without use_time. Each step is a separately
+// rounded operation in the order of the tensor ops of Eq 6-11 (this file
+// is built with -ffp-contract=off), and vmath is lanewise, so the scores
+// are bit-identical to that op chain's at each ISA, however the entries
+// are split into calls.
+void GateScores(const float* a_nu, const float* eta, bool use_pdf,
+                float alpha, bool clip, int64_t len, float* score) {
+  const float shift = eta != nullptr ? *eta : 0.0f;
   if (!use_pdf) {
     for (int64_t i = 0; i < len; ++i) {
-      const float v = a_nu[i] + eta;
-      score[i] = v > 0.0f ? v : 0.0f;
+      const float v = eta != nullptr ? a_nu[i] + shift : a_nu[i];
+      score[i] = clip && !(v > 0.0f) ? 0.0f : v;
     }
     return;
   }
-  for (int64_t i = 0; i < len; ++i) score[i] *= pdf_scale;
-  vmath_kernels.tanh_n(score, score, len);
-  vmath_kernels.sigmoid_n(score, score, len);
   for (int64_t i = 0; i < len; ++i) {
-    const float v = (score[i] * alpha + 1.0f) * (a_nu[i] + eta);
-    score[i] = v > 0.0f ? v : 0.0f;
+    const float base = eta != nullptr ? a_nu[i] + shift : a_nu[i];
+    const float v = (score[i] * alpha + 1.0f) * base;
+    score[i] = clip && !(v > 0.0f) ? 0.0f : v;
   }
 }
 
@@ -359,6 +318,7 @@ void TagSL::SelectTopK(const float* x, int64_t batch, int64_t channels,
       const int32_t* cand = prefix->cols.data() + r * depth;
       const float* cand_a = prefix->a_nu.data() + r * depth;
       for (int64_t b = 0; b < batch; ++b) {
+        const float* eta_item = eta != nullptr ? eta + b : nullptr;
         const float eta_b = eta != nullptr ? eta[b] : 0.0f;
         const float* xb = x + b * n * channels;
         int64_t* ids = col_ids + b * nnz + r * kept;
@@ -390,9 +350,11 @@ void TagSL::SelectTopK(const float* x, int64_t batch, int64_t channels,
             if (use_pdf) {
               gemm_kernels.gather_dots(xb + r * channels, xb, cand + t, len,
                                        channels, block);
+              Discriminant(block, len, pdf_scale, vmath_kernels, block,
+                           block);
             }
-            ClipScores(cand_a + t, eta_b, use_pdf, pdf_scale, alpha,
-                           vmath_kernels, len, block);
+            GateScores(cand_a + t, eta_item, use_pdf, alpha, /*clip=*/true,
+                       len, block);
             chunk_scored += len;
           }
           const uint64_t key = graph::RankKey(block[t - block_begin], cand[t]);
@@ -445,9 +407,10 @@ void TagSL::SelectTopK(const float* x, int64_t batch, int64_t channels,
             gemm_kernels.gemm_rows(xb + r * channels, channels, 1,
                                    packed->data() + b * packed_x_count, 0,
                                    1, channels, n, score, n);
+            Discriminant(score, n, pdf_scale, vmath_kernels, score, score);
           }
-          ClipScores(a_row, eta_b, use_pdf, pdf_scale, alpha,
-                         vmath_kernels, n, score);
+          GateScores(a_row, eta_item, use_pdf, alpha, /*clip=*/true, n,
+                     score);
           graph::TopKRow(score, n, kept, ids);
           ++chunk_fallbacks;
         }
@@ -483,28 +446,528 @@ void TagSL::SelectTopK(const float* x, int64_t batch, int64_t channels,
   }
 }
 
+namespace {
+
+// What the fused graph node's backward reads. The output (the node's own
+// value, shared storage) is the only activation it keeps: every other
+// intermediate of Eq 8-11 is recomputed from x, a_nu (dense) or E_nu
+// (top-k) and eta, whose values the graph holds anyway.
+struct GraphSaved {
+  Tensor y;  // the normalized graph: [B, N, N] dense, [B, nnz] top-k
+  std::shared_ptr<graph::CsrIndex> index;  // top-k structure; null dense
+  // x (null without use_pdf), a_nu [N, N] (dense) or E_nu [N, d_nu]
+  // (top-k), and eta [B, 1] (null without use_time).
+  ag::internal::NodeRef x, embed, eta;
+  bool use_pdf = false;
+  float alpha = 0.0f;
+  float pdf_scale = 1.0f;
+};
+
+bool NeedsGrad(const ag::internal::NodeRef& node) {
+  return node && node->needs_grad;
+}
+
+int64_t RowGrain(int64_t row_elems) {
+  return std::max<int64_t>(1,
+                           kElemwiseGrain / std::max<int64_t>(1, row_elems));
+}
+
+// <a, b> accumulated serially from 0, as Sum(Mul(a, b), -1) rounds it.
+float Dot(const float* a, const float* b, int64_t len) {
+  float sum = 0.0f;
+  for (int64_t i = 0; i < len; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+// The backward of Eq 9-11 for `len` entries of one row, with use_pdf:
+// on entry g_base holds the softmax's input gradient, t = tanh of the
+// scaled <x_i, x_j> and sg = sigmoid(t); a_nu and eta (null without
+// use_time) give the base. On exit g_base holds the base's gradient and,
+// when g_xx is not null, g_xx the gradient of <x_i, x_j>: through relu,
+// the gate product, alpha, sigmoid, tanh and the 1/sqrt(C) scale, each
+// factor rounded as the op chain's backward kernels round it.
+void GateGradRow(const float* a_nu, const float* eta, float alpha,
+                 float pdf_scale, const float* t, const float* sg,
+                 int64_t len, float* g_base, float* g_xx) {
+  const float shift = eta != nullptr ? *eta : 0.0f;
+  for (int64_t j = 0; j < len; ++j) {
+    const float base = eta != nullptr ? a_nu[j] + shift : a_nu[j];
+    const float gate = sg[j] * alpha + 1.0f;
+    const float g_m = gate * base > 0.0f ? g_base[j] : 0.0f;
+    g_base[j] = g_m * gate;
+    if (g_xx == nullptr) continue;
+    const float g_sig = alpha * (g_m * base);
+    const float g_tanh = (g_sig * sg[j]) * (-sg[j] + 1.0f);
+    g_xx[j] = pdf_scale * (g_tanh * (-(t[j] * t[j]) + 1.0f));
+  }
+}
+
+// The relu gradient of `len` entries without use_pdf, where the relu's
+// input is the base a_nu (+ eta).
+void BaseGradRow(const float* a_nu, const float* eta, int64_t len,
+                 float* g_base) {
+  const float shift = eta != nullptr ? *eta : 0.0f;
+  for (int64_t j = 0; j < len; ++j) {
+    const float base = eta != nullptr ? a_nu[j] + shift : a_nu[j];
+    g_base[j] = base > 0.0f ? g_base[j] : 0.0f;
+  }
+}
+
+// The node's analytic cost over `entries` graph entries (B N^2 dense,
+// B N k top-k). Forward, per entry: Eq 9's gate with use_pdf (scale,
+// tanh, sigmoid, alpha, +1, product), the eta add, relu and the softmax,
+// plus each top-k edge's Eq 6 / Eq 8 dots. Backward recomputes all of
+// that and adds the softmax and relu gradients, the gate chain's
+// gradients with use_pdf, and each top-k edge's scatters into E_nu and x.
+// The x x^T GEMM, the reductions into a_nu and eta and the backward's
+// GEMMs record under their own tensor rows. Shape-only, so identical at
+// every ISA and thread count.
+struct GraphCost {
+  double flops = 0.0;
+  double bytes = 0.0;
+};
+
+GraphCost ForwardGraphCost(double entries, double n, double d_nu,
+                           double channels, bool sparse, bool pdf) {
+  const double gate = pdf ? 26.0 : 0.0;
+  const double dots = sparse ? 2.0 * (d_nu + (pdf ? channels : 0.0)) : 0.0;
+  GraphCost cost;
+  cost.flops = entries * (gate + 14.0 + dots);
+  cost.bytes = 4.0 * entries * (pdf && !sparse ? 2.0 : 1.0) +
+               (sparse ? 8.0 * entries + 4.0 * n * d_nu : 4.0 * n * n);
+  return cost;
+}
+
+GraphCost BackwardGraphCost(double entries, double n, double d_nu,
+                            double channels, bool sparse, bool pdf) {
+  GraphCost cost = ForwardGraphCost(entries, n, d_nu, channels, sparse, pdf);
+  cost.flops += entries * (5.0 + (pdf ? 12.0 : 0.0));
+  cost.bytes += 4.0 * entries * (pdf ? 3.0 : 2.0);
+  if (sparse) {
+    cost.flops += entries * 4.0 * (d_nu + (pdf ? channels : 0.0));
+    cost.bytes += 8.0 * entries;
+  }
+  return cost;
+}
+
+void RecordGraphCost(const char* scope, const GraphCost& cost) {
+  obs::RecordKernelCost(scope, cost.flops, cost.bytes);
+}
+
+// The periodic discriminant's inner product <x_i, x_j> is scaled by
+// 1/sqrt(C) before the tanh of Eq 8. The paper uses the raw product; the
+// scaling keeps tanh out of saturation for z-scored features without
+// changing its discriminative role. Eq 9's gate 1 + alpha sigmoid(.)
+// then expands the graph weights of the identified period.
+//
+// Eq 8-11 over dense rows: A^t for every (item, row) from a_nu [N, N],
+// eta [B] (null without use_time) and, with use_pdf, x [B, N, C] — relu'd
+// and row-softmaxed when `normalize`, else Eq 9's raw A^t. x x^T is the
+// same Tensor GEMM the op chain ran, and every later pass rewrites its
+// buffer in place, so the whole forward holds one [B, N, N] buffer.
+Tensor DenseGraphForward(const Tensor& x, const Tensor& a_nu,
+                         const float* eta, bool use_pdf, float alpha,
+                         bool normalize) {
+  const int64_t batch = x.size(0);
+  const int64_t n = a_nu.size(0);
+  const float pdf_scale = 1.0f / std::sqrt(static_cast<float>(x.size(2)));
+  Tensor out = use_pdf ? x.Matmul(x.Transpose(1, 2))
+                       : Tensor::ForOverwrite({batch, n, n});
+  const vmath::internal::Kernels& vm =
+      vmath::GetVmathKernels(common::ActiveSimdIsa());
+  const float* ap = a_nu.data();
+  float* op = out.mutable_data();
+  if (use_pdf) {
+    common::ParallelFor(0, out.numel(), kElemwiseGrain,
+                        [&](int64_t i0, int64_t i1) {
+                          Discriminant(op + i0, i1 - i0, pdf_scale, vm,
+                                       op + i0, op + i0);
+                        });
+  }
+  common::ParallelFor(0, batch * n, RowGrain(n), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const int64_t b = r / n;
+      float* row = op + r * n;
+      GateScores(ap + (r - b * n) * n, eta != nullptr ? eta + b : nullptr,
+                 use_pdf, alpha, normalize, n, row);
+      if (normalize) SoftmaxRow(row, row, n);
+    }
+  });
+  return out;
+}
+
+// Backward of the dense node, in the op chain's kernels and order: the
+// softmax and relu gradients, then per entry the gradients of Eq 9's two
+// factors — the base a_nu + eta and, with use_pdf, the gate back through
+// sigmoid, tanh and the 1/sqrt(C) scale to x x^T. a_nu and eta take the
+// base's gradient summed as the broadcasting Add's ReduceTo sums it; x
+// takes the X X^T product's two partials, g X first, then (X^T g)^T.
+void DenseGraphBackward(const GraphSaved& s, const Tensor& g) {
+  TGCRN_TRACE_SCOPE("tagsl.GraphBackward");
+  const int64_t batch = s.y.size(0);
+  const int64_t n = s.y.size(1);
+  const bool pdf = s.use_pdf;
+  const Tensor x = s.x ? s.x->value : Tensor();
+  RecordGraphCost("tagsl.GraphBackward",
+                  BackwardGraphCost(static_cast<double>(batch * n * n),
+                                    static_cast<double>(n), 0.0,
+                                    pdf ? static_cast<double>(x.size(2)) : 0.0,
+                                    /*sparse=*/false, pdf));
+  const vmath::internal::Kernels& vm =
+      vmath::GetVmathKernels(common::ActiveSimdIsa());
+  const float* ap = s.embed->value.data();
+  const float* eta = s.eta ? s.eta->value.data() : nullptr;
+  const float alpha = s.alpha;
+  const float pdf_scale = s.pdf_scale;
+  // x x^T, overwritten row by row with its gradient, and Eq 8's tanh
+  // and sigmoid of it.
+  Tensor g_xx = pdf ? x.Matmul(x.Transpose(1, 2)) : Tensor();
+  Tensor t = pdf ? Tensor::ForOverwrite({batch, n, n}) : Tensor();
+  Tensor sg = pdf ? Tensor::ForOverwrite({batch, n, n}) : Tensor();
+  Tensor g_base = Tensor::ForOverwrite({batch, n, n});
+  const float* yp = s.y.data();
+  const float* gp = g.data();
+  float* gxp = pdf ? g_xx.mutable_data() : nullptr;
+  float* tp = pdf ? t.mutable_data() : nullptr;
+  float* sgp = pdf ? sg.mutable_data() : nullptr;
+  float* gbp = g_base.mutable_data();
+  if (pdf) {
+    common::ParallelFor(0, g_xx.numel(), kElemwiseGrain,
+                        [&](int64_t i0, int64_t i1) {
+                          Discriminant(gxp + i0, i1 - i0, pdf_scale, vm,
+                                       tp + i0, sgp + i0);
+                        });
+  }
+  common::ParallelFor(0, batch * n, RowGrain(n), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const int64_t b = r / n;
+      const float* a_row = ap + (r - b * n) * n;
+      const float* eta_b = eta != nullptr ? eta + b : nullptr;
+      float* gb = gbp + r * n;
+      SoftmaxGradRow(yp + r * n, gp + r * n, gb, n);
+      if (pdf) {
+        GateGradRow(a_row, eta_b, alpha, pdf_scale, tp + r * n, sgp + r * n,
+                    n, gb, gxp + r * n);
+      } else {
+        BaseGradRow(a_row, eta_b, n, gb);
+      }
+    }
+  });
+  if (NeedsGrad(s.eta)) {
+    s.eta->AccumulateGrad(
+        g_base.ReduceTo({batch, 1, 1}).Reshape({batch, 1}));
+  }
+  if (NeedsGrad(s.embed)) {
+    s.embed->AccumulateGrad(g_base.ReduceTo({1, n, n}).Reshape({n, n}));
+  }
+  if (pdf && NeedsGrad(s.x)) {
+    s.x->AccumulateGrad(g_xx.MatmulTransposeB(x.Transpose(1, 2)));
+    s.x->AccumulateGrad(x.MatmulTransposeA(g_xx).Transpose(1, 2));
+  }
+}
+
+// Eq 6-11 on the kept edges of `index`: per edge <E_row, E_col> (+ eta),
+// gated with use_pdf by <x_row, x_col>, relu'd and softmaxed over each
+// row's k slots, with Sum(Mul(.)) 's serial dots — values [B, nnz].
+Tensor SparseGraphForward(const graph::CsrIndex& index, const Tensor& x,
+                          const Tensor& embed, const float* eta,
+                          bool use_pdf, float alpha) {
+  const int64_t batch = index.batch;
+  const int64_t n = index.rows;
+  const int64_t nnz = index.nnz();
+  const int64_t kept = nnz / n;
+  const int64_t d_nu = embed.size(1);
+  const int64_t channels = x.size(2);
+  const float pdf_scale = 1.0f / std::sqrt(static_cast<float>(channels));
+  const vmath::internal::Kernels& vm =
+      vmath::GetVmathKernels(common::ActiveSimdIsa());
+  Tensor out = Tensor::ForOverwrite({batch, nnz});
+  Tensor a_nu = Tensor::ForOverwrite({batch, nnz});
+  const float* ep = embed.data();
+  const float* xp = x.data();
+  float* op = out.mutable_data();
+  float* ap = a_nu.mutable_data();
+  const int64_t row_grain = RowGrain(kept * (d_nu + channels));
+  common::ParallelFor(0, batch * n, row_grain, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const int64_t b = r / n;
+      const int64_t row = r - b * n;
+      const int64_t* cols = index.col_ids.data() + r * kept;
+      const float* xb = xp + b * n * channels;
+      for (int64_t s = 0; s < kept; ++s) {
+        ap[r * kept + s] = Dot(ep + row * d_nu, ep + cols[s] * d_nu, d_nu);
+        if (use_pdf) {
+          op[r * kept + s] = Dot(xb + row * channels,
+                                 xb + cols[s] * channels, channels);
+        }
+      }
+    }
+  });
+  if (use_pdf) {
+    common::ParallelFor(0, out.numel(), kElemwiseGrain,
+                        [&](int64_t i0, int64_t i1) {
+                          Discriminant(op + i0, i1 - i0, pdf_scale, vm,
+                                       op + i0, op + i0);
+                        });
+  }
+  common::ParallelFor(0, batch * n, RowGrain(kept), [&](int64_t r0,
+                                                        int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      float* v = op + r * kept;
+      GateScores(ap + r * kept, eta != nullptr ? eta + r / n : nullptr,
+                 use_pdf, alpha, /*clip=*/true, kept, v);
+      SoftmaxRow(v, v, kept);
+    }
+  });
+  return out;
+}
+
+// out[dst] += scale[e] * src[other] over the edges of every (item, node)
+// list, in flat edge order per destination row — the order the op chain's
+// EmbeddingLookup backward (IndexAdd0Inplace) scattered in. `by_col`
+// scatters into each edge's column (through the CSC lists), else into its
+// row; `per_item` addresses rows of a [B N, width] buffer (x) instead of
+// an [N, width] one (E_nu, whose rows take every item's edges, item-major).
+Tensor ScatterEdges(const graph::CsrIndex& index, const float* scale,
+                    const float* src, int64_t width, bool by_col,
+                    bool per_item) {
+  const int64_t batch = index.batch;
+  const int64_t n = index.rows;
+  const int64_t nnz = index.nnz();
+  const int64_t kept = nnz / n;
+  const int64_t items = per_item ? batch : 1;
+  Tensor out = Tensor::Zeros({items * n, width});
+  float* op = out.mutable_data();
+  common::ParallelFor(
+      0, items * n, RowGrain(kept * width * (per_item ? 1 : batch)),
+      [&](int64_t d0, int64_t d1) {
+        for (int64_t d = d0; d < d1; ++d) {
+          const int64_t node = d % n;
+          float* dst = op + d * width;
+          const int64_t b_begin = per_item ? d / n : 0;
+          const int64_t b_end = per_item ? b_begin + 1 : batch;
+          for (int64_t b = b_begin; b < b_end; ++b) {
+            const float* srcb = src + (per_item ? b * n * width : 0);
+            if (by_col) {
+              const int64_t* offs =
+                  index.t_offsets.data() + b * (n + 1) + node;
+              const int64_t* slots = index.t_slots.data() + b * nnz;
+              for (int64_t i = offs[0]; i < offs[1]; ++i) {
+                const int64_t slot = slots[i];
+                const float g = scale[b * nnz + slot];
+                const float* other = srcb + index.slot_rows[slot] * width;
+                for (int64_t c = 0; c < width; ++c) dst[c] += g * other[c];
+              }
+            } else {
+              const int64_t e0 = b * nnz + node * kept;
+              for (int64_t e = e0; e < e0 + kept; ++e) {
+                const float g = scale[e];
+                const float* other = srcb + index.col_ids[e] * width;
+                for (int64_t c = 0; c < width; ++c) dst[c] += g * other[c];
+              }
+            }
+          }
+        }
+      });
+  return out;
+}
+
+// Backward of the top-k node: per row the softmax and relu gradients over
+// the k slots, per edge the gradients of the logit (into eta, summed per
+// item, and into both E_nu rows) and, with use_pdf, of the gate back to
+// the x dot. Parents take them in the op chain's order: eta; E_nu's
+// column-side scatter, then its row-side one; x's column-side scatter
+// plus its row-side one, in one accumulation.
+void SparseGraphBackward(const GraphSaved& s, const Tensor& g) {
+  TGCRN_TRACE_SCOPE("tagsl.GraphBackward");
+  const graph::CsrIndex& index = *s.index;
+  const int64_t batch = index.batch;
+  const int64_t n = index.rows;
+  const int64_t nnz = index.nnz();
+  const int64_t kept = nnz / n;
+  const bool pdf = s.use_pdf;
+  const bool x_grad = pdf && NeedsGrad(s.x);
+  const Tensor& embed = s.embed->value;
+  const int64_t d_nu = embed.size(1);
+  const int64_t channels = pdf ? s.x->value.size(2) : 0;
+  RecordGraphCost("tagsl.GraphBackward",
+                  BackwardGraphCost(static_cast<double>(batch * nnz),
+                                    static_cast<double>(n),
+                                    static_cast<double>(d_nu),
+                                    static_cast<double>(channels),
+                                    /*sparse=*/true, pdf));
+  const vmath::internal::Kernels& vm =
+      vmath::GetVmathKernels(common::ActiveSimdIsa());
+  const float* ep = embed.data();
+  const float* xp = pdf ? s.x->value.data() : nullptr;
+  const float* eta = s.eta ? s.eta->value.data() : nullptr;
+  const float alpha = s.alpha;
+  const float pdf_scale = s.pdf_scale;
+  Tensor g_logit = Tensor::ForOverwrite({batch, nnz});
+  Tensor g_dot = x_grad ? Tensor::ForOverwrite({batch, nnz}) : Tensor();
+  Tensor a_nu = Tensor::ForOverwrite({batch, nnz});
+  Tensor t = pdf ? Tensor::ForOverwrite({batch, nnz}) : Tensor();
+  Tensor sg = pdf ? Tensor::ForOverwrite({batch, nnz}) : Tensor();
+  const float* yp = s.y.data();
+  const float* gp = g.data();
+  float* glp = g_logit.mutable_data();
+  float* gdp = x_grad ? g_dot.mutable_data() : nullptr;
+  float* ap = a_nu.mutable_data();
+  float* tp = pdf ? t.mutable_data() : nullptr;
+  float* sgp = pdf ? sg.mutable_data() : nullptr;
+  common::ParallelFor(
+      0, batch * n, RowGrain(kept * (d_nu + channels)),
+      [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          const int64_t b = r / n;
+          const int64_t row = r - b * n;
+          const int64_t* cols = index.col_ids.data() + r * kept;
+          const float* xb = pdf ? xp + b * n * channels : nullptr;
+          for (int64_t j = 0; j < kept; ++j) {
+            ap[r * kept + j] =
+                Dot(ep + row * d_nu, ep + cols[j] * d_nu, d_nu);
+            if (pdf) {
+              tp[r * kept + j] = Dot(xb + row * channels,
+                                     xb + cols[j] * channels, channels);
+            }
+          }
+        }
+      });
+  if (pdf) {
+    common::ParallelFor(0, t.numel(), kElemwiseGrain,
+                        [&](int64_t i0, int64_t i1) {
+                          Discriminant(tp + i0, i1 - i0, pdf_scale, vm,
+                                       tp + i0, sgp + i0);
+                        });
+  }
+  common::ParallelFor(0, batch * n, RowGrain(kept), [&](int64_t r0,
+                                                        int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* eta_b = eta != nullptr ? eta + r / n : nullptr;
+      float* gl = glp + r * kept;
+      SoftmaxGradRow(yp + r * kept, gp + r * kept, gl, kept);
+      if (pdf) {
+        GateGradRow(ap + r * kept, eta_b, alpha, pdf_scale, tp + r * kept,
+                    sgp + r * kept, kept, gl,
+                    gdp != nullptr ? gdp + r * kept : nullptr);
+      } else {
+        BaseGradRow(ap + r * kept, eta_b, kept, gl);
+      }
+    }
+  });
+  if (NeedsGrad(s.eta)) s.eta->AccumulateGrad(g_logit.ReduceTo({batch, 1}));
+  if (NeedsGrad(s.embed)) {
+    s.embed->AccumulateGrad(
+        ScatterEdges(index, glp, ep, d_nu, /*by_col=*/true, false));
+    s.embed->AccumulateGrad(
+        ScatterEdges(index, glp, ep, d_nu, /*by_col=*/false, false));
+  }
+  if (x_grad) {
+    Tensor g_x = ScatterEdges(index, gdp, xp, channels, /*by_col=*/true,
+                              /*per_item=*/true);
+    g_x.AddInplace(ScatterEdges(index, gdp, xp, channels, /*by_col=*/false,
+                                /*per_item=*/true));
+    s.x->AccumulateGrad(g_x.Reshape(s.x->value.shape()));
+  }
+}
+
+}  // namespace
+
+ag::Variable TagSL::TrendFactor(const std::vector<int64_t>& slots,
+                                const std::vector<int64_t>& prev_slots,
+                                int64_t batch) const {
+  if (!options_.use_time) return ag::Variable();
+  TGCRN_CHECK_EQ(static_cast<int64_t>(slots.size()), batch);
+  TGCRN_CHECK_EQ(static_cast<int64_t>(prev_slots.size()), batch);
+  // Eq 7: trend factor from consecutive time representations. Scaled by
+  // 1/d_tau so its magnitude is invariant to the embedding width.
+  ag::Variable e_t = time_encoder_->Encode(slots);          // [B, d_tau]
+  ag::Variable e_prev = time_encoder_->Encode(prev_slots);  // [B, d_tau]
+  return ag::MulScalar(ag::Sum(ag::Mul(e_t, e_prev), 1, /*keepdim=*/true),
+                       1.0f / static_cast<float>(time_encoder_->dim()));
+}
+
+ag::Variable TagSL::Graph(const ag::Variable& x_t,
+                          const std::vector<int64_t>& slots,
+                          const std::vector<int64_t>& prev_slots,
+                          bool normalize) const {
+  const int64_t batch = x_t.size(0);
+  const int64_t n = options_.num_nodes;
+  TGCRN_CHECK_EQ(x_t.value().dim(), 3);
+  TGCRN_CHECK_EQ(x_t.size(1), n);
+  const bool pdf = options_.use_pdf;
+  // Eq 6: static node-pair correlation, shared across the batch.
+  ag::Variable a_nu = ag::Matmul(node_embedding_,
+                                 ag::Transpose(node_embedding_, 0, 1));
+  ag::Variable eta = TrendFactor(slots, prev_slots, batch);  // [B, 1]
+  const float* eta_data = eta.defined() ? eta.value().data() : nullptr;
+
+  TGCRN_TRACE_SCOPE("tagsl.Graph");
+  const GraphCost cost = ForwardGraphCost(
+      static_cast<double>(batch * n * n), static_cast<double>(n), 0.0,
+      pdf ? static_cast<double>(x_t.size(2)) : 0.0, /*sparse=*/false, pdf);
+  RecordGraphCost("tagsl.Graph", cost);
+  Tensor out = DenseGraphForward(x_t.value(), a_nu.value(), eta_data, pdf,
+                                 options_.alpha, normalize);
+  // Parents in the order the op chain's backward walk first reached them
+  // (the gate's x, then a_nu, then eta), so the topological sort visits
+  // everything upstream in the same order.
+  std::vector<ag::Variable> parents;
+  if (pdf) parents.push_back(x_t);
+  parents.push_back(a_nu);
+  if (eta.defined()) parents.push_back(eta);
+  const bool record =
+      ag::GradEnabled() &&
+      std::any_of(parents.begin(), parents.end(),
+                  [](const ag::Variable& p) { return p.needs_grad(); });
+  if (!record) return ag::Variable(std::move(out));
+  ag::SavedState<GraphSaved> saved;
+  saved->y = out;
+  if (pdf) saved->x = x_t.node();
+  saved->embed = a_nu.node();
+  if (eta.defined()) saved->eta = eta.node();
+  saved->use_pdf = pdf;
+  saved->alpha = options_.alpha;
+  saved->pdf_scale = 1.0f / std::sqrt(static_cast<float>(x_t.size(2)));
+  return ag::MakeOpNode(std::move(out), std::move(parents),
+                        [saved = std::move(saved)](const Tensor& g) {
+                          DenseGraphBackward(*saved, g);
+                        });
+}
+
+ag::Variable TagSL::BuildRawGraph(const ag::Variable& x_t,
+                                  const std::vector<int64_t>& slots,
+                                  const std::vector<int64_t>& prev_slots)
+    const {
+  ag::NoGradGuard no_grad;
+  return Graph(x_t, slots, prev_slots, /*normalize=*/false);
+}
+
+ag::Variable TagSL::BuildGraph(const ag::Variable& x_t,
+                               const std::vector<int64_t>& slots,
+                               const std::vector<int64_t>& prev_slots) const {
+  ag::Variable adj = Graph(x_t, slots, prev_slots, /*normalize=*/true);
+  TGCRN_HEALTH_TAP("tagsl.adjacency", adj.value());
+  return adj;
+}
+
 ag::SparseGraph TagSL::BuildSparseGraph(
     const ag::Variable& x_t, const std::vector<int64_t>& slots,
     const std::vector<int64_t>& prev_slots, int64_t k) const {
   const int64_t batch = x_t.size(0);
   const int64_t n = options_.num_nodes;
+  TGCRN_CHECK_EQ(x_t.value().dim(), 3);
   TGCRN_CHECK_EQ(x_t.size(1), n);
   const int64_t kept = std::min<int64_t>(std::max<int64_t>(k, 1), n);
   const int64_t nnz = n * kept;
   const int64_t channels = x_t.size(2);
-  const float pdf_scale = 1.0f / std::sqrt(static_cast<float>(channels));
+  const bool pdf = options_.use_pdf;
 
   // Trend factor eta_t (Eq 7), shared by both stages: its value drives the
-  // selection ranking, and the same Variable joins the kept-edge logits so
-  // the time encoder trains through the sparse path.
-  ag::Variable eta;  // [B, 1]
-  if (options_.use_time) {
-    TGCRN_CHECK_EQ(static_cast<int64_t>(slots.size()), batch);
-    ag::Variable e_t = time_encoder_->Encode(slots);
-    ag::Variable e_prev = time_encoder_->Encode(prev_slots);
-    eta = ag::MulScalar(ag::Sum(ag::Mul(e_t, e_prev), 1, /*keepdim=*/true),
-                        1.0f / static_cast<float>(time_encoder_->dim()));
-  }
+  // selection ranking, and the same Variable is a parent of the kept-edge
+  // node so the time encoder trains through the sparse path.
+  ag::Variable eta = TrendFactor(slots, prev_slots, batch);  // [B, 1]
+  const float* eta_data = eta.defined() ? eta.value().data() : nullptr;
 
   // --- Stage 1: exact top-k selection (no gradients) ----------------------
   auto index = std::make_shared<graph::CsrIndex>();
@@ -516,73 +979,55 @@ ag::SparseGraph TagSL::BuildSparseGraph(
   index->slot_rows.resize(nnz);
   for (int64_t s = 0; s < nnz; ++s) index->slot_rows[s] = s / kept;
   index->col_ids.resize(batch * nnz);
-  SelectTopK(x_t.value().data(), batch, channels,
-             options_.use_time ? eta.value().data() : nullptr, kept,
+  SelectTopK(x_t.value().data(), batch, channels, eta_data, kept,
              index->col_ids.data());
 
-  // --- Stage 2: differentiable kept-edge logits ---------------------------
-  // Flat gather ids over the kept edges, in (batch, row, slot) order.
-  std::vector<int64_t> row_ids;  // edge's row node
-  std::vector<int64_t> col_ids;  // edge's column node
-  row_ids.reserve(batch * nnz);
-  col_ids.reserve(batch * nnz);
-  for (int64_t b = 0; b < batch; ++b) {
-    const int64_t* ids = index->col_ids.data() + b * nnz;
-    for (int64_t s = 0; s < nnz; ++s) {
-      row_ids.push_back(s / kept);
-      col_ids.push_back(ids[s]);
-    }
-  }
-
-  // Eq 6 on the kept edges: <E_nu[row], E_nu[col]>.
-  ag::Variable e_row = ag::EmbeddingLookup(node_embedding_, row_ids);
-  ag::Variable e_col = ag::EmbeddingLookup(node_embedding_, col_ids);
-  ag::Variable logit = ag::Reshape(
-      ag::Sum(ag::Mul(e_row, e_col), 1), {batch, nnz});
-  if (options_.use_time) {
-    logit = ag::Add(logit, eta);  // [B, 1] broadcast over the edges
-  }
-  if (options_.use_pdf) {
-    // Eq 8-9 on the kept edges: per-edge <x[row], x[col]> via flat gathers.
-    std::vector<int64_t> flat_row(batch * nnz);
-    std::vector<int64_t> flat_col(batch * nnz);
-    for (int64_t i = 0; i < batch * nnz; ++i) {
-      const int64_t b = i / nnz;
-      flat_row[i] = b * n + row_ids[i];
-      flat_col[i] = b * n + col_ids[i];
-    }
-    ag::Variable x_flat =
-        ag::Reshape(x_t, {batch * n, x_t.size(2)});
-    ag::Variable dot = ag::Sum(
-        ag::Mul(ag::EmbeddingLookup(x_flat, flat_row),
-                ag::EmbeddingLookup(x_flat, flat_col)),
-        1);
-    ag::Variable gate = ag::AddScalar(
-        ag::MulScalar(ag::Sigmoid(ag::Tanh(ag::MulScalar(dot, pdf_scale))),
-                      options_.alpha),
-        1.0f);
-    logit = ag::Mul(ag::Reshape(gate, {batch, nnz}), logit);
-  }
+  // --- Stage 2: the kept-edge graph, one autograd node --------------------
   // Eq 11 restricted to the kept set: softmax over each row's k logits ==
   // the dense row-softmax renormalized over the kept entries (the dropped
   // mass cancels), with all-zero rows degrading to uniform 1/k.
+  TGCRN_TRACE_SCOPE("tagsl.Graph");
+  RecordGraphCost("tagsl.Graph",
+                  ForwardGraphCost(static_cast<double>(batch * nnz),
+                                   static_cast<double>(n),
+                                   static_cast<double>(options_.node_dim),
+                                   static_cast<double>(channels),
+                                   /*sparse=*/true, pdf));
+  Tensor values = SparseGraphForward(*index, x_t.value(),
+                                     node_embedding_.value(), eta_data, pdf,
+                                     options_.alpha);
   ag::SparseGraph out;
   out.index = index;
-  out.values = ag::Reshape(
-      ag::Softmax(ag::Reshape(ag::Relu(logit), {batch * n, kept}), -1),
-      {batch, nnz});
+  // Parents in the op chain's first-reach order: the gate's x, E_nu, eta.
+  std::vector<ag::Variable> parents;
+  if (pdf) parents.push_back(x_t);
+  parents.push_back(node_embedding_);
+  if (eta.defined()) parents.push_back(eta);
+  const bool record =
+      ag::GradEnabled() &&
+      std::any_of(parents.begin(), parents.end(),
+                  [](const ag::Variable& p) { return p.needs_grad(); });
+  if (!record) {
+    out.values = ag::Variable(std::move(values));
+    return out;
+  }
+  // The column-side scatters walk the CSC lists; build them now so the
+  // backward (which may run under a step arena) does no index work.
+  index->BuildTranspose();
+  ag::SavedState<GraphSaved> saved;
+  saved->y = values;
+  saved->index = index;
+  if (pdf) saved->x = x_t.node();
+  saved->embed = node_embedding_.node();
+  if (eta.defined()) saved->eta = eta.node();
+  saved->use_pdf = pdf;
+  saved->alpha = options_.alpha;
+  saved->pdf_scale = 1.0f / std::sqrt(static_cast<float>(channels));
+  out.values = ag::MakeOpNode(std::move(values), std::move(parents),
+                              [saved = std::move(saved)](const Tensor& g) {
+                                SparseGraphBackward(*saved, g);
+                              });
   return out;
-}
-
-ag::Variable TagSL::BuildGraph(const ag::Variable& x_t,
-                               const std::vector<int64_t>& slots,
-                               const std::vector<int64_t>& prev_slots) const {
-  // Eq 11: Norm = row-softmax over relu, yielding a row-stochastic
-  // aggregation operator.
-  ag::Variable adj =
-      ag::Softmax(ag::Relu(BuildRawGraph(x_t, slots, prev_slots)), -1);
-  TGCRN_HEALTH_TAP("tagsl.adjacency", adj.value());
-  return adj;
 }
 
 namespace {

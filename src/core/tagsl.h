@@ -11,6 +11,12 @@
 // convention the paper builds on). Ablation switches disable the time term
 // (yielding the pure self-learning graph of AGCRN, the paper's "w/o tagsl")
 // and the periodic discriminant ("w/o PDF").
+//
+// Eq 8-11 after A_nu and eta_t are one autograd node (dense and top-k),
+// with a hand-written backward that keeps only the normalized graph and
+// recomputes the rest from x_t, A_nu (or E_nu) and eta_t. Its values and
+// gradients are bitwise those of the op chain it replaced (the oracle in
+// tests/tagsl_test.cc; DESIGN §9).
 #ifndef TGCRN_CORE_TAGSL_H_
 #define TGCRN_CORE_TAGSL_H_
 
@@ -67,7 +73,8 @@ class TagSL : public nn::Module {
                           const std::vector<int64_t>& slots,
                           const std::vector<int64_t>& prev_slots) const;
 
-  // Pre-normalization A^t of Eq 9 (for the Fig 11 visualizations).
+  // Pre-normalization A^t of Eq 9 (for the Fig 11 visualizations). Values
+  // only: the result records no gradient.
   ag::Variable BuildRawGraph(const ag::Variable& x_t,
                              const std::vector<int64_t>& slots,
                              const std::vector<int64_t>& prev_slots) const;
@@ -81,13 +88,13 @@ class TagSL : public nn::Module {
   // once (1 + alpha) * (A_nu + eta_t), a ceiling on every unvisited score,
   // falls strictly below the k-th kept score; the order is cached until
   // E_nu changes, and a row the walk cannot close is scanned in full.
-  // The kept set is bitwise the full scan's. (2) Only the B*N*k kept-edge
-  // logits are recomputed differentiably (gathers + dots) and
-  // row-softmaxed, which equals the dense softmax renormalized over the
-  // kept entries — so gradients reach E_nu, the time encoder and x_t
-  // through the kept edges and dropped edges get exactly zero gradient
-  // (the sparse-training contract, autograd/sparse_ops.h). Autograd
-  // memory and compute are O(B*N*k); the selection builds its O(N^2)
+  // The kept set is bitwise the full scan's. (2) One autograd node
+  // recomputes only the B*N*k kept-edge logits and row-softmaxes them,
+  // which equals the dense softmax renormalized over the kept entries —
+  // so gradients reach E_nu, the time encoder and x_t through the kept
+  // edges and dropped edges get exactly zero gradient (the
+  // sparse-training contract, autograd/sparse_ops.h). Autograd memory
+  // and compute are O(B*N*k); the selection builds its O(N^2)
   // A_nu once per E_nu and otherwise scores a few candidates per row.
   // All-zero rows degrade to uniform over the kept set, matching
   // graph::SparsifyTopK's fallback.
@@ -120,6 +127,16 @@ class TagSL : public nn::Module {
   const Options& options() const { return options_; }
 
  private:
+  // Eq 7's trend factor eta_t [B, 1]; undefined without use_time.
+  ag::Variable TrendFactor(const std::vector<int64_t>& slots,
+                           const std::vector<int64_t>& prev_slots,
+                           int64_t batch) const;
+  // The dense A^t [B, N, N]: normalized (Eq 11) as one autograd node, or
+  // Eq 9's raw entries without a tape.
+  ag::Variable Graph(const ag::Variable& x_t,
+                     const std::vector<int64_t>& slots,
+                     const std::vector<int64_t>& prev_slots,
+                     bool normalize) const;
   // Stage 1 of BuildSparseGraph: writes the kept column ids of every
   // (item, row) of x [B, N, C] into col_ids (CsrIndex::col_ids layout).
   // eta is the [B] trend factor, or null without use_time.

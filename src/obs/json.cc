@@ -2,6 +2,7 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <cstdio>
@@ -20,21 +21,16 @@ const Json& NullSentinel() {
 // Formats a double the way the exposition formats expect: integers without
 // a trailing ".0", everything else with enough digits to round-trip.
 std::string FormatNumber(double d) {
+  char buf[32];
   if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    return buf;
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), static_cast<long long>(d));
+    return std::string(buf, r.ptr);
   }
   if (!std::isfinite(d)) return "null";  // JSON has no Inf/NaN
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  // Trim to the shortest representation that still parses back exactly.
-  for (int precision = 1; precision < 17; ++precision) {
-    char probe[40];
-    std::snprintf(probe, sizeof(probe), "%.*g", precision, d);
-    if (std::strtod(probe, nullptr) == d) return probe;
-  }
-  return buf;
+  // The shortest text that parses back to exactly `d`.
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), d);
+  return std::string(buf, r.ptr);
 }
 
 class Parser {
@@ -286,7 +282,14 @@ Json Json::Object() {
 
 bool Json::AsBool() const { return bool_; }
 double Json::AsDouble() const { return number_; }
-int64_t Json::AsInt() const { return static_cast<int64_t>(number_); }
+int64_t Json::AsInt() const {
+  // Saturates outside int64's range, where the cast would be undefined
+  // (a request may carry any number, e.g. "slot":1e308).
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!(number_ < kTwoTo63)) return std::numeric_limits<int64_t>::max();
+  if (number_ < -kTwoTo63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(number_);
+}
 const std::string& Json::AsString() const { return string_; }
 const std::vector<Json>& Json::AsArray() const { return array_; }
 const std::map<std::string, Json>& Json::AsObject() const { return object_; }

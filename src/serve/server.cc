@@ -18,6 +18,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/wire.h"
 
 namespace tgcrn {
 namespace serve {
@@ -261,6 +262,39 @@ void Server::SendJson(Request* request, obs::Json out, bool error) {
   telemetry_->RecordRequest(&request->trace);
 }
 
+void Server::SendForecast(Request* request, int64_t steps,
+                          const float* grid) {
+  const core::TGCRNConfig& mc = session_->model_config();
+  ForecastLine line;
+  line.entity = obs::Json::Escape(request->entity);
+  line.grid = grid;
+  line.horizon = mc.horizon;
+  line.nodes = mc.num_nodes;
+  line.dims = mc.output_dim;
+  line.steps = steps;
+  line.with_id = request->client_id;
+  line.id = request->id;
+  Connection& c = conns_[request->conn];
+  if (c.fd >= 0) {
+    // The out-buffer ceiling is checked against the line's size bound
+    // before any byte of it is written.
+    if (c.pending_out() + ForecastLineBound(line) + 1 > kMaxOutBytes) {
+      CloseConnection(request->conn);
+    } else {
+      AppendForecastLine(line, &c.out);
+      c.out.push_back('\n');
+    }
+  }
+  if (tracing_) {
+    request->trace.status = 0;
+    request->trace.Stamp(kStageSerialize, NowNs());
+  }
+  FlushOutput(request->conn);
+  if (!tracing_) return;
+  request->trace.Stamp(kStageFlush, NowNs());
+  telemetry_->RecordRequest(&request->trace);
+}
+
 void Server::Respond(size_t conn, const std::string& line) {
   Connection& c = conns_[conn];
   if (c.fd < 0) return;
@@ -476,26 +510,7 @@ void Server::Dispatch(std::vector<Request>* requests) {
             telemetry_->drift().RecordForecast(r.entity, steps[warm_index],
                                                row);
           }
-          obs::Json grid = obs::Json::Array();
-          for (int64_t q = 0; q < mc.horizon; ++q) {
-            obs::Json nodes = obs::Json::Array();
-            for (int64_t node = 0; node < mc.num_nodes; ++node) {
-              obs::Json feats = obs::Json::Array();
-              for (int64_t f = 0; f < mc.output_dim; ++f) {
-                feats.Append(obs::Json::Number(
-                    row[(q * mc.num_nodes + node) * mc.output_dim + f]));
-              }
-              nodes.Append(std::move(feats));
-            }
-            grid.Append(std::move(nodes));
-          }
-          obs::Json out = obs::Json::Object();
-          out.Set("ok", obs::Json::Bool(true));
-          out.Set("op", obs::Json::Str("forecast"));
-          out.Set("entity", obs::Json::Str(r.entity));
-          out.Set("steps", obs::Json::Int(steps[warm_index]));
-          out.Set("forecast", std::move(grid));
-          SendJson(&r, std::move(out), /*error=*/false);
+          SendForecast(&r, steps[warm_index], row);
           ++warm_index;
         } else {
           SendJson(&r,

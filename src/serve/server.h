@@ -102,6 +102,9 @@ class Server {
   // Serializes `out` (echoing a client id), queues it, stamps the
   // serialize/flush stages, and records the completed trace.
   void SendJson(Request* request, obs::Json out, bool error);
+  // SendJson for a forecast answer, streamed by serve/wire.h's writer
+  // straight into the connection's out buffer: the [Q, N, D] `grid`.
+  void SendForecast(Request* request, int64_t steps, const float* grid);
   // Queues one response line and flushes as much buffered output as the
   // (non-blocking) socket accepts; the poll loop retries the remainder
   // on POLLOUT, so a stalled reader never blocks the serving thread.

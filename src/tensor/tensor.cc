@@ -1022,6 +1022,25 @@ Tensor Tensor::ReduceTo(const Shape& target) const {
   return result;
 }
 
+void SoftmaxRow(const float* src, float* dst, int64_t span) {
+  float max_val = src[0];
+  for (int64_t j = 1; j < span; ++j) max_val = std::max(max_val, src[j]);
+  float sum = 0.0f;
+  for (int64_t j = 0; j < span; ++j) {
+    dst[j] = std::exp(src[j] - max_val);
+    sum += dst[j];
+  }
+  const float inv = 1.0f / sum;
+  for (int64_t j = 0; j < span; ++j) dst[j] *= inv;
+}
+
+void SoftmaxGradRow(const float* y, const float* g, float* out,
+                    int64_t span) {
+  float sum = 0.0f;
+  for (int64_t j = 0; j < span; ++j) sum += g[j] * y[j];
+  for (int64_t j = 0; j < span; ++j) out[j] = y[j] * (g[j] - sum);
+}
+
 Tensor Tensor::Softmax(int64_t axis) const {
   TGCRN_TRACE_SCOPE("tensor.Softmax");
   int64_t rank = dim();
@@ -1046,19 +1065,7 @@ Tensor Tensor::Softmax(int64_t axis) const {
         std::max<int64_t>(1, kElemwiseGrain / std::max<int64_t>(1, span));
     common::ParallelFor(0, rows, grain, [&](int64_t begin, int64_t end) {
       for (int64_t r = begin; r < end; ++r) {
-        const float* src = p + r * span;
-        float* dst = o + r * span;
-        float max_val = src[0];
-        for (int64_t j = 1; j < span; ++j) {
-          max_val = std::max(max_val, src[j]);
-        }
-        float sum = 0.0f;
-        for (int64_t j = 0; j < span; ++j) {
-          dst[j] = std::exp(src[j] - max_val);
-          sum += dst[j];
-        }
-        const float inv = 1.0f / sum;
-        for (int64_t j = 0; j < span; ++j) dst[j] *= inv;
+        SoftmaxRow(p + r * span, o + r * span, span);
       }
     });
     return out;
@@ -1148,14 +1155,7 @@ Tensor SoftmaxGradKernel(const Tensor& y, const Tensor& g) {
   // order, so chunking across rows never changes any output bit.
   common::ParallelFor(0, rows, grain, [&](int64_t begin, int64_t end) {
     for (int64_t r = begin; r < end; ++r) {
-      const float* yrow = py + r * span;
-      const float* grow = pg + r * span;
-      float* orow = o + r * span;
-      float sum = 0.0f;
-      for (int64_t j = 0; j < span; ++j) sum += grow[j] * yrow[j];
-      for (int64_t j = 0; j < span; ++j) {
-        orow[j] = yrow[j] * (grow[j] - sum);
-      }
+      SoftmaxGradRow(py + r * span, pg + r * span, o + r * span, span);
     }
   });
   return out;

@@ -260,6 +260,11 @@ Tensor ReluGradKernel(const Tensor& x, const Tensor& g);
 // The row sum is accumulated serially per row, so results are bitwise
 // identical at every thread count.
 Tensor SoftmaxGradKernel(const Tensor& y, const Tensor& g);
+// The row kernels of Softmax's last-axis path and of SoftmaxGradKernel,
+// for fused callers that must match them bit for bit. SoftmaxRow may run
+// in place (dst == src).
+void SoftmaxRow(const float* src, float* dst, int64_t span);
+void SoftmaxGradRow(const float* y, const float* g, float* out, int64_t span);
 // -g * a / b^2 (the d(a/b)/db closure).
 Tensor DivGradRhsKernel(const Tensor& g, const Tensor& a, const Tensor& b);
 

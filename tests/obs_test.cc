@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/tgcrn.h"
 #include "core/trainer.h"
@@ -75,6 +78,65 @@ TEST(JsonTest, IntegersDumpWithoutDecimalPoint) {
   EXPECT_EQ(obs::Json::Int(7).Dump(), "7");
   EXPECT_EQ(obs::Json::Int(-12345).Dump(), "-12345");
   EXPECT_EQ(obs::Json::Number(2.5).Dump(), "2.5");
+}
+
+// Every finite double dumps as the shortest text that parses back to
+// exactly it (integers below 9e15 without a decimal point), and reading
+// the dump back gives the same bits.
+TEST(JsonTest, NumbersRoundTripExactly) {
+  std::vector<double> values = {
+      0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, 2.5, 1e-5, 1e-300, 1e300, 5e-324,
+      -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+      -1.7976931348623157e308, 8999999999999999.0, 9007199254740993.0,
+      123456789.125, 0.30000000000000004, 7.038531e-26};
+  Rng rng(77);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t bits = rng.NextUint64();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  for (const double d : values) {
+    const std::string text = obs::Json::Number(d).Dump();
+    obs::Json parsed;
+    ASSERT_TRUE(obs::Json::Parse(text, &parsed)) << text;
+    const double back = parsed.AsDouble();
+    // -0 dumps as the integer 0.
+    const double want = d == 0.0 ? 0.0 : d;
+    EXPECT_EQ(std::memcmp(&back, &want, sizeof(back)), 0)
+        << text << " for " << d;
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), d) << text;
+    // No shorter text reads back to d.
+    if (text.find_first_of(".e") != std::string::npos) {
+      std::string mantissa;
+      for (const char ch : text.substr(0, text.find('e'))) {
+        if (ch >= '0' && ch <= '9') mantissa.push_back(ch);
+      }
+      mantissa.erase(0, mantissa.find_first_not_of('0'));
+      mantissa.erase(mantissa.find_last_not_of('0') + 1);
+      const int digits = static_cast<int>(mantissa.size());
+      char shorter[40];
+      std::snprintf(shorter, sizeof(shorter), "%.*g", digits - 1, d);
+      if (digits > 1) {
+        EXPECT_NE(std::strtod(shorter, nullptr), d) << text;
+      }
+    }
+  }
+  EXPECT_EQ(obs::Json::Number(8999999999999999.0).Dump(), "8999999999999999");
+  EXPECT_EQ(obs::Json::Number(1e20).Dump(), "1e+20");
+  EXPECT_EQ(obs::Json::Number(0.1).Dump(), "0.1");
+  EXPECT_EQ(obs::Json::Number(std::nan("")).Dump(), "null");
+}
+
+TEST(JsonTest, AsIntSaturatesOutOfRangeNumbers) {
+  obs::Json body;
+  ASSERT_TRUE(obs::Json::Parse(
+      R"({"big":1e308,"small":-1e308,"edge":9223372036854775808,"ok":-42})",
+      &body));
+  EXPECT_EQ(body.GetInt("big"), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(body.GetInt("small"), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(body.GetInt("edge"), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(body.GetInt("ok"), -42);
 }
 
 TEST(JsonTest, ParseRejectsMalformedInput) {

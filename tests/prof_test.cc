@@ -21,6 +21,8 @@
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
 #include "core/gcgru.h"
+#include "core/tagsl.h"
+#include "core/time_encoders.h"
 #include "core/tgcrn.h"
 #include "core/trainer.h"
 #include "datagen/metro_sim.h"
@@ -361,6 +363,63 @@ TEST(ProfDeterminismTest, GcgruStepCostModelMatchesShape) {
     EXPECT_EQ(back->bytes, bwd_bytes) << threads;
     EXPECT_NE(FindNode(report, "gcgru.Step"), nullptr);
     EXPECT_NE(FindNode(report, "gcgru.StepBackward"), nullptr);
+  }
+}
+
+// The fused TagSL node is its own cost row too: tagsl.Graph and
+// tagsl.GraphBackward charge a shape-only model of the node's loops (the
+// x x^T GEMM and the reductions keep their tensor rows), dense and top-k,
+// the same at every thread count.
+TEST(ProfDeterminismTest, TagslGraphCostModelMatchesShape) {
+  const int64_t b = 4, n = 9, c = 2, d_nu = 4, k = 3;
+  Rng rng(92);
+  core::DiscreteTimeEmbedding encoder(24, 3, &rng);
+  core::TagSL::Options options;
+  options.num_nodes = n;
+  options.node_dim = d_nu;
+  core::TagSL tagsl(options, &encoder, &rng);
+  ag::Variable x(Tensor::RandUniform({b, n, c}, -1, 1, &rng), true);
+  const std::vector<int64_t> slots = {1, 2, 3, 4}, prev = {0, 1, 2, 3};
+  for (const bool sparse : {false, true}) {
+    // Per entry: the PDF gate (26), the eta add, relu and softmax (14)
+    // and, top-k, the two per-edge dots; the backward recomputes them and
+    // adds the softmax / relu (5) and gate (12) gradients and, top-k, the
+    // two scatters into E_nu and x.
+    const double entries = sparse ? b * n * k : b * n * n;
+    const double dots = sparse ? 2.0 * (d_nu + c) : 0.0;
+    const double fwd_flops = entries * (26.0 + 14.0 + dots);
+    const double fwd_bytes =
+        sparse ? 4.0 * entries + 8.0 * entries + 4.0 * n * d_nu
+               : 8.0 * entries + 4.0 * n * n;
+    const double bwd_flops =
+        fwd_flops + entries * 17.0 + (sparse ? 4.0 * entries * (d_nu + c) : 0.0);
+    const double bwd_bytes =
+        fwd_bytes + 12.0 * entries + (sparse ? 8.0 * entries : 0.0);
+    for (const int threads : {1, 2, 4, 8}) {
+      ScopedNumThreads thread_guard(threads);
+      ScopedProfiler profiler;
+      {
+        ag::StepArenaScope arena;
+        ag::Variable graph =
+            sparse ? tagsl.BuildSparseGraph(x, slots, prev, k).values
+                   : tagsl.BuildGraph(x, slots, prev);
+        ag::SumAll(graph).Backward();
+      }
+      const obs::ProfReport report = obs::CollectProfReport();
+      const obs::ProfKernelReport* fwd = FindKernel(report, "tagsl.Graph");
+      const obs::ProfKernelReport* bwd =
+          FindKernel(report, "tagsl.GraphBackward");
+      ASSERT_NE(fwd, nullptr) << threads;
+      ASSERT_NE(bwd, nullptr) << threads;
+      EXPECT_EQ(fwd->invocations, 1);
+      EXPECT_EQ(bwd->invocations, 1);
+      EXPECT_EQ(fwd->flops, fwd_flops) << sparse << " " << threads;
+      EXPECT_EQ(fwd->bytes, fwd_bytes) << sparse << " " << threads;
+      EXPECT_EQ(bwd->flops, bwd_flops) << sparse << " " << threads;
+      EXPECT_EQ(bwd->bytes, bwd_bytes) << sparse << " " << threads;
+      EXPECT_NE(FindNode(report, "tagsl.Graph"), nullptr);
+      EXPECT_NE(FindNode(report, "tagsl.GraphBackward"), nullptr);
+    }
   }
 }
 

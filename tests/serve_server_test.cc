@@ -11,7 +11,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cfloat>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <map>
+#include <random>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -27,6 +33,7 @@
 #include "obs/json.h"
 #include "serve/session.h"
 #include "serve/telemetry.h"
+#include "serve/wire.h"
 #include "tensor/buffer_pool.h"
 
 namespace tgcrn {
@@ -58,7 +65,19 @@ class Client {
     return ReadLine();
   }
 
-  obs::Json ReadLine() {
+  // Writes raw bytes (any number of request lines).
+  void Send(const std::string& payload) {
+    size_t sent = 0;
+    while (sent < payload.size()) {
+      const ssize_t wrote = ::send(fd_, payload.data() + sent,
+                                   payload.size() - sent, MSG_NOSIGNAL);
+      ASSERT_GT(wrote, 0) << std::strerror(errno);
+      sent += static_cast<size_t>(wrote);
+    }
+  }
+
+  // The next response line's raw text (empty when none arrives).
+  std::string ReadRawLine() {
     while (buffer_.find('\n') == std::string::npos) {
       char chunk[4096];
       const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -67,8 +86,14 @@ class Client {
     }
     const size_t newline = buffer_.find('\n');
     EXPECT_NE(newline, std::string::npos) << "no response line";
+    if (newline == std::string::npos) return "";
     const std::string line = buffer_.substr(0, newline);
     buffer_.erase(0, newline + 1);
+    return line;
+  }
+
+  obs::Json ReadLine() {
+    const std::string line = ReadRawLine();
     obs::Json parsed;
     std::string error;
     EXPECT_TRUE(obs::Json::Parse(line, &parsed, &error)) << error;
@@ -539,6 +564,332 @@ TEST_F(ServeServerTelemetryFixture, ShutdownFlushWritesSlowAndOneDriftBlock) {
     EXPECT_TRUE(drift[0].Has(key)) << key;
   }
   EXPECT_GT(drift[0].GetInt("observations"), 0);
+}
+
+
+// --- Forecast wire format ---------------------------------------------------
+
+uint32_t Bits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// `value` written by the forecast writer reads back bit for bit through
+// strtof and through strtod then a float cast (how a double-parsing
+// client, such as a JSON library, reads it).
+void ExpectRoundTrips(float value) {
+  std::string text;
+  serve::AppendFloat32(value, &text);
+  const float via_strtof = std::strtof(text.c_str(), nullptr);
+  const float via_strtod =
+      static_cast<float>(std::strtod(text.c_str(), nullptr));
+  ASSERT_EQ(Bits(via_strtof), Bits(value)) << text << " via strtof";
+  ASSERT_EQ(Bits(via_strtod), Bits(value)) << text << " via strtod";
+}
+
+TEST(ForecastWireTest, FloatsRoundTripThroughStrtofAndStrtod) {
+  // 7.038531e-26 is the float whose shortest text strtod-then-cast rounds
+  // to a neighbour; the writer falls back to 9 digits for it.
+  const float twice_rounded = std::strtof("7.038531e-26", nullptr);
+  std::string shortest(32, '\0');
+  shortest.resize(std::snprintf(shortest.data(), shortest.size(), "%.7g",
+                                twice_rounded));
+  EXPECT_NE(Bits(static_cast<float>(std::strtod(shortest.c_str(), nullptr))),
+            Bits(twice_rounded))
+      << "expected the double-rounding case";
+  std::string written;
+  serve::AppendFloat32(twice_rounded, &written);
+  EXPECT_NE(written, shortest);
+  for (const float v :
+       {twice_rounded, -twice_rounded, 0.0f, -0.0f, FLT_MAX, -FLT_MAX,
+        FLT_MIN, -FLT_MIN, std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(), FLT_MIN / 2.0f,
+        std::nextafter(FLT_MIN, 0.0f), 1.0f, 0.1f, 1e10f, 123456789.0f}) {
+    ExpectRoundTrips(v);
+  }
+  // A strided sweep over the bit patterns: 2^32 / 4093 > 1M floats.
+  int64_t checked = 0;
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += 4093) {
+    const uint32_t b = static_cast<uint32_t>(bits);
+    float v;
+    std::memcpy(&v, &b, sizeof(v));
+    if (!std::isfinite(v)) continue;
+    ExpectRoundTrips(v);
+    if (::testing::Test::HasFatalFailure()) return;
+    ++checked;
+  }
+  EXPECT_GT(checked, 1000000);
+}
+
+TEST(ForecastWireTest, NonFiniteValuesAreNull) {
+  for (const float v : {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()}) {
+    std::string text;
+    serve::AppendFloat32(v, &text);
+    EXPECT_EQ(text, "null");
+  }
+}
+
+TEST(ForecastWireTest, LineMatchesJsonSchemaAndStaysUnderBound) {
+  const std::string entity = "a\"b\\c\x01\x1f\n\xc3\xa9\xe2\x82\xac";
+  const std::vector<float> grid = {1.5f, -0.0f, FLT_MAX,
+                                   std::numeric_limits<float>::quiet_NaN(),
+                                   -1.17549435e-38f, 7.038531e-26f};
+  for (const bool with_id : {false, true}) {
+    serve::ForecastLine line;
+    line.entity = obs::Json::Escape(entity);
+    line.grid = grid.data();
+    line.horizon = 3;
+    line.nodes = 1;
+    line.dims = 2;
+    line.steps = 42;
+    line.with_id = with_id;
+    line.id = 9007199254740993;
+    std::string text;
+    serve::AppendForecastLine(line, &text);
+    EXPECT_LE(text.size(), serve::ForecastLineBound(line));
+    obs::Json parsed;
+    std::string error;
+    ASSERT_TRUE(obs::Json::Parse(text, &parsed, &error)) << error << text;
+    // The keys in obs::Json's own (sorted) order: the DOM would dump the
+    // same object with the same key sequence.
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : parsed.AsObject()) keys.push_back(key);
+    std::vector<std::string> want = {"entity", "forecast", "ok", "op",
+                                     "steps"};
+    if (with_id) want.insert(want.begin() + 2, "id");
+    EXPECT_EQ(keys, want);
+    EXPECT_EQ(text.rfind("{\"entity\":", 0), 0u);
+    EXPECT_EQ(parsed.GetString("entity"), entity);
+    EXPECT_EQ(parsed.GetString("op"), "forecast");
+    EXPECT_TRUE(parsed["ok"].AsBool());
+    EXPECT_EQ(parsed.GetInt("steps"), 42);
+    if (with_id) {
+      EXPECT_NE(text.find("\"id\":9007199254740993,"), std::string::npos);
+    }
+    const obs::Json& rows = parsed["forecast"];
+    ASSERT_EQ(rows.size(), 3u);
+    for (size_t q = 0; q < 3; ++q) {
+      ASSERT_EQ(rows.at(q).size(), 1u);
+      ASSERT_EQ(rows.at(q).at(0).size(), 2u);
+      for (size_t f = 0; f < 2; ++f) {
+        const float want_v = grid[2 * q + f];
+        const obs::Json& got = rows.at(q).at(0).at(f);
+        if (std::isnan(want_v)) {
+          EXPECT_TRUE(got.is_null());
+        } else {
+          EXPECT_EQ(Bits(static_cast<float>(got.AsDouble())), Bits(want_v));
+        }
+      }
+    }
+  }
+}
+
+// Every served forecast value, parsed from the wire as float32 (strtof)
+// or as a double then cast, equals a fresh InferenceSession's replay of
+// the same observations bit for bit — for entity names that need
+// escaping too.
+TEST_F(ServeServerFixture, ForecastValuesMatchSessionReplayBitwise) {
+  Client client(server_->port());
+  serve::InferenceSession replay(model_.get(), scaler_,
+                                 serve::SessionConfig());
+  const std::vector<std::string> entities = {
+      "hz", "quote\"back\\slash", std::string("ctl\x01\x1f", 5),
+      "utf8-\xc3\xa9\xe2\x82\xac"};
+  for (const std::string& entity : entities) {
+    const std::string name = obs::Json::Escape(entity);
+    for (int64_t t = 0; t < 3; ++t) {
+      std::string line = ObserveLine("hz", t);
+      line.replace(line.find("\"hz\""), 4, "\"" + name + "\"");
+      const obs::Json reply = client.Call(line);
+      ASSERT_TRUE(reply["ok"].AsBool()) << reply.Dump();
+      EXPECT_EQ(reply.GetString("entity"), entity);
+      // The replay reads the request's numbers as the server does.
+      obs::Json body;
+      ASSERT_TRUE(obs::Json::Parse(line, &body));
+      serve::Observation ob;
+      ob.entity = entity;
+      ob.slot = body.GetInt("slot");
+      for (const obs::Json& row : body["values"].AsArray()) {
+        for (const obs::Json& v : row.AsArray()) {
+          ob.values.push_back(static_cast<float>(v.AsDouble()));
+        }
+      }
+      replay.Observe({ob});
+    }
+    client.Send(R"({"op":"forecast","entity":")" + name + "\"}\n");
+    const std::string text = client.ReadRawLine();
+    obs::Json parsed;
+    ASSERT_TRUE(obs::Json::Parse(text, &parsed)) << text;
+    ASSERT_TRUE(parsed["ok"].AsBool()) << text;
+    EXPECT_EQ(parsed.GetString("entity"), entity);
+    Tensor want;
+    std::vector<int64_t> steps;
+    replay.Forecast({entity}, &want, &steps);
+    EXPECT_EQ(parsed.GetInt("steps"), steps[0]);
+    // The numbers in wire order: every token after "forecast":[ up to
+    // its closing bracket that is not a bracket or comma.
+    const size_t begin = text.find("\"forecast\":") + 11;
+    const size_t end = text.find("]]]", begin) + 3;
+    std::vector<std::string> tokens;
+    std::string token;
+    for (size_t i = begin; i < end; ++i) {
+      const char ch = text[i];
+      if (ch == '[' || ch == ']' || ch == ',') {
+        if (!token.empty()) tokens.push_back(token);
+        token.clear();
+      } else {
+        token.push_back(ch);
+      }
+    }
+    ASSERT_EQ(static_cast<int64_t>(tokens.size()), want.numel());
+    for (int64_t i = 0; i < want.numel(); ++i) {
+      const float expected = want.data()[i];
+      ASSERT_EQ(Bits(std::strtof(tokens[i].c_str(), nullptr)), Bits(expected))
+          << entity << " value " << i << ": " << tokens[i];
+      ASSERT_EQ(Bits(static_cast<float>(
+                    std::strtod(tokens[i].c_str(), nullptr))),
+                Bits(expected))
+          << entity << " value " << i << ": " << tokens[i];
+    }
+  }
+}
+
+// --- NDJSON protocol fuzz ---------------------------------------------------
+
+// Seeded mutations of well-formed request lines plus random lines:
+// truncations, byte flips (NULs and CRs included), wrong-typed and huge
+// fields, CRLF endings. The server must never crash, must answer every
+// non-empty line with exactly one parseable JSON line, in order, and a
+// rejected request must leave every entity's step count unchanged.
+TEST_F(ServeServerFixture, ProtocolFuzzAnswersEveryLineAndRejectsCleanly) {
+  Client client(server_->port());
+  for (int64_t t = 0; t < 2; ++t) {
+    ASSERT_TRUE(client.Call(ObserveLine("hz", t))["ok"].AsBool());
+  }
+  std::map<std::string, int64_t> steps = {{"hz", 2}};
+  const std::vector<std::string> seeds = {
+      ObserveLine("hz", 2),
+      ObserveLine("hz", 3),
+      R"({"op":"forecast","entity":"hz"})",
+      R"({"op":"forecast","entity":"hz","id":7})",
+      R"({"op":"stats"})",
+      R"({"op":"stats","view":"slow"})",
+  };
+  const std::vector<std::string> fields = {
+      "1e308", "-1e308", "9223372036854775808", "-9223372036854775809",
+      "\"7\"", "null", "true", "[]", "{}", "-1", "0.5", "1e-400",
+      "123456789012345678901234567890"};
+  std::mt19937_64 gen(20261017);
+  auto pick = [&](size_t n) {
+    return static_cast<size_t>(gen() % static_cast<uint64_t>(n));
+  };
+  auto mutate = [&](std::string line) {
+    switch (pick(7)) {
+      case 0:  // truncate
+        line.resize(pick(line.size() + 1));
+        break;
+      case 1:  // flip a byte, NUL and CR included
+        if (!line.empty()) {
+          const char bytes[] = {'\0', '\r', '"', '\\', '{', '}', '[',
+                                ']', ',', ':', 'e', '-', '\x80', '\xff'};
+          line[pick(line.size())] = bytes[pick(sizeof(bytes))];
+        }
+        break;
+      case 2: {  // a field set to a wrong type or a huge number
+        const char* keys[] = {"\"slot\":", "\"entity\":", "\"op\":",
+                              "\"values\":", "\"id\":"};
+        const std::string key = keys[pick(5)];
+        const size_t at = line.find(key);
+        if (at == std::string::npos) {
+          line.insert(line.size() - 1, "," + key + fields[pick(fields.size())]);
+        } else {
+          const size_t v0 = at + key.size();
+          size_t v1 = v0;
+          int depth = 0;
+          while (v1 < line.size() &&
+                 (depth > 0 || (line[v1] != ',' && line[v1] != '}'))) {
+            if (line[v1] == '[') ++depth;
+            if (line[v1] == ']') --depth;
+            ++v1;
+          }
+          line.replace(v0, v1 - v0, fields[pick(fields.size())]);
+        }
+        break;
+      }
+      case 3:  // CRLF ending
+        line += "\r";
+        break;
+      case 4: {  // random bytes
+        std::string junk(pick(40), ' ');
+        for (char& ch : junk) {
+          ch = static_cast<char>(gen() & 0xff);
+          if (ch == '\n') ch = ' ';
+        }
+        line = junk;
+        break;
+      }
+      case 5:  // duplicated tail
+        line += line.substr(pick(line.size() + 1));
+        break;
+      default:  // left valid
+        break;
+    }
+    return line;
+  };
+  constexpr int kRounds = 40;
+  constexpr int kLinesPerRound = 25;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::string> lines;
+    std::string payload;
+    for (int i = 0; i < kLinesPerRound; ++i) {
+      std::string line = mutate(seeds[pick(seeds.size())]);
+      // Never stop or reset the server under test.
+      if (line.find("shutdown") != std::string::npos ||
+          line.find("evict") != std::string::npos) {
+        continue;
+      }
+      payload += line + "\n";
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      if (!line.empty()) lines.push_back(line);
+    }
+    client.Send(payload);
+    for (const std::string& line : lines) {
+      const std::string text = client.ReadRawLine();
+      obs::Json reply;
+      std::string error;
+      ASSERT_TRUE(obs::Json::Parse(text, &reply, &error) &&
+                  reply.is_object() && reply["ok"].is_bool())
+          << "request " << line << " -> " << text << " (" << error << ")";
+      obs::Json request;
+      const bool parsed =
+          obs::Json::Parse(line, &request) && request.is_object();
+      const std::string op = parsed ? request.GetString("op") : "";
+      if (!reply["ok"].AsBool()) continue;
+      const std::string entity = reply.GetString("entity");
+      if (op == "observe") {
+        // An accepted observe advances exactly its entity, by one step.
+        EXPECT_EQ(reply.GetInt("steps"), steps[entity] + 1) << line;
+        steps[entity] = reply.GetInt("steps");
+      } else if (op == "forecast") {
+        EXPECT_EQ(reply.GetInt("steps"), steps[entity]) << line;
+      }
+    }
+  }
+  // The session agrees: rejected requests changed nothing.
+  const obs::Json stats = client.Call(R"({"op":"stats"})");
+  int64_t live = 0;
+  for (const auto& [entity, count] : steps) live += count > 0 ? 1 : 0;
+  EXPECT_EQ(stats.GetInt("entities"), live);
+  for (const auto& [entity, count] : steps) {
+    if (count == 0) continue;
+    const obs::Json forecast = client.Call(
+        R"({"op":"forecast","entity":")" + obs::Json::Escape(entity) +
+        "\"}");
+    EXPECT_EQ(forecast.GetInt("steps"), count) << entity;
+  }
 }
 
 }  // namespace
