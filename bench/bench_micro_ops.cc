@@ -3,6 +3,8 @@
 // autograd overhead, and the paper's core building blocks (TagSL graph
 // construction, one GCGRU step). Not a paper table - this is the
 // engineering baseline for the wall-clock numbers in bench_table8_cost.
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "autograd/ops.h"
@@ -422,12 +424,18 @@ void BM_SparsifyTopKThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_SparsifyTopKThreads)->Arg(1)->Arg(2)->Arg(4);
 
+// The widths the GCGRU feeds the SpMM: c = 10 and 18 carry a masked
+// 8-lane tail (training and serving), 16 and 32 do not, 40 takes two
+// column passes.
+const std::vector<int64_t> kSpmmWidths = {10, 16, 18, 32, 40};
+
+// Forward SpMM through the autograd op; args: (0 = scalar, 1 = AVX2, c).
 void BM_SpmmIsa(benchmark::State& state) {
   if (!PinIsaOrSkip(state, state.range(0))) return;
   common::ScopedSimdIsa pin(state.range(0) == 1 ? common::SimdIsa::kAvx2
                                                 : common::SimdIsa::kScalar);
   common::ScopedNumThreads threads(1);
-  const int64_t b = 8, n = 512, c = 32, k = 16;
+  const int64_t b = 8, n = 512, c = state.range(1), k = 16;
   graph::CsrBatch csr = graph::SparsifyTopK(DenseAdjacency(b, n, 52), k);
   ag::SparseGraph sg;
   sg.index = csr.index;
@@ -444,11 +452,14 @@ void BM_SpmmIsa(benchmark::State& state) {
   StampIsa(state, flops);
   probe.Attach(state);
 }
-BENCHMARK(BM_SpmmIsa)->Arg(0)->Arg(1);
+BENCHMARK(BM_SpmmIsa)
+    ->ArgsProduct({{0, 1}, kSpmmWidths})
+    ->ArgNames({"isa", "c"});
 
+// Forward SpMM thread sweep; args: (threads, c).
 void BM_SpmmThreads(benchmark::State& state) {
   common::ScopedNumThreads threads(static_cast<int>(state.range(0)));
-  const int64_t b = 8, n = 512, c = 32, k = 16;
+  const int64_t b = 8, n = 512, c = state.range(1), k = 16;
   graph::CsrBatch csr = graph::SparsifyTopK(DenseAdjacency(b, n, 54), k);
   ag::SparseGraph sg;
   sg.index = csr.index;
@@ -463,7 +474,44 @@ void BM_SpmmThreads(benchmark::State& state) {
   StampIsa(state, flops);
   probe.Attach(state);
 }
-BENCHMARK(BM_SpmmThreads)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_SpmmThreads)
+    ->ArgsProduct({{1, 2, 4}, kSpmmWidths})
+    ->ArgNames({"threads", "c"});
+
+// The three SpMM drivers the profiler names (spmm.SpmmCsr, SpmmCsrGradX,
+// SpmmCsrGradValues) at the city-sparse training shape: B = 4, N = 1024,
+// k = 16, one thread, the forward writing into a [B, N, 2c] buffer as the
+// GCGRU does (ldo = 2c). Args: (0 = forward rows, 1 = transpose / grad-x,
+// 2 = value gradients; c = 1..40 at the active ISA).
+void BM_SpmmKernels(benchmark::State& state) {
+  const int64_t op = state.range(0), c = state.range(1);
+  const int64_t b = 4, n = 1024, k = 16;
+  common::ScopedNumThreads threads(1);
+  graph::CsrBatch csr = graph::SparsifyTopK(DenseAdjacency(b, n, 58), k);
+  graph::CsrIndex& index = *csr.index;
+  index.BuildTranspose();
+  Rng rng(59);
+  const Tensor x = Tensor::RandUniform({b, n, c}, -1, 1, &rng);
+  const Tensor g = Tensor::RandUniform({b, n, c}, -1, 1, &rng);
+  Tensor out = Tensor::Zeros({b, n, 2 * c});
+  IpcProbe probe;
+  for (auto _ : state) {
+    if (op == 0) {
+      ag::SpmmCsrRows(index, csr.values, x, out.mutable_data(), 2 * c);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    } else if (op == 1) {
+      benchmark::DoNotOptimize(ag::SpmmCsrGradX(&index, csr.values, g));
+    } else {
+      benchmark::DoNotOptimize(ag::SpmmCsrGradValues(index, g, x));
+    }
+  }
+  StampIsa(state, 2.0 * static_cast<double>(b) * n * k * c);
+  probe.Attach(state);
+}
+BENCHMARK(BM_SpmmKernels)
+    ->ArgsProduct({{0, 1, 2}, benchmark::CreateDenseRange(1, 40, 1)})
+    ->ArgNames({"op", "c"});
 
 // Sparse vs dense aggregation at growing N, fixed k = 16: the N*k-vs-N^2
 // crossover that motivates TGCRN_GRAPH_TOPK. Args: (N, 0 = dense batched

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -60,18 +61,23 @@ class Flags {
 };
 
 // `value`, the contents of the environment variable `name` (getenv),
-// as one whole-string integer, or `fallback` when it is unset or empty.
-// Any other value that is not a single in-range integer of type T ("abc",
-// "16k", "2x", " 5") aborts, naming the variable and the value: a typo
-// must not silently change the run.
+// as one whole-string integer in [lo, hi], or `fallback` when it is unset
+// or empty. Any other value — not a single integer of type T ("abc",
+// "16k", "2x", " 5"), or one outside [lo, hi] — aborts, naming the
+// variable and the value: a typo must not silently change the run.
 template <typename T>
-T EnvIntOrDie(const char* name, const char* value, T fallback) {
+T EnvIntOrDie(const char* name, const char* value, T fallback,
+              T lo = std::numeric_limits<T>::min(),
+              T hi = std::numeric_limits<T>::max()) {
   if (value == nullptr || *value == '\0') return fallback;
   T parsed{};
   const char* end = value + std::strlen(value);
   const auto [ptr, ec] = std::from_chars(value, end, parsed);
   TGCRN_CHECK(ec == std::errc() && ptr == end)
       << name << "=\"" << value << "\" is not an integer";
+  TGCRN_CHECK(lo <= parsed && parsed <= hi)
+      << name << "=\"" << value << "\" is outside [" << lo << ", " << hi
+      << "]";
   return parsed;
 }
 

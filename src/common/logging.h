@@ -6,6 +6,8 @@
 #ifndef TGCRN_COMMON_LOGGING_H_
 #define TGCRN_COMMON_LOGGING_H_
 
+#include <strings.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -18,25 +20,33 @@
 #include <string>
 #include <utility>
 
+#include "common/check.h"
+
 namespace tgcrn {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
 namespace internal {
 
-inline LogLevel LogLevelFromEnv() {
-  const char* env = std::getenv("TGCRN_LOG_LEVEL");
-  if (env == nullptr) return LogLevel::kInfo;
-  if (std::strcmp(env, "DEBUG") == 0) return LogLevel::kDebug;
-  if (std::strcmp(env, "INFO") == 0) return LogLevel::kInfo;
-  if (std::strcmp(env, "WARNING") == 0) return LogLevel::kWarning;
-  if (std::strcmp(env, "ERROR") == 0) return LogLevel::kError;
-  return LogLevel::kInfo;
+// `value`, the contents of TGCRN_LOG_LEVEL, as a level: DEBUG, INFO,
+// WARNING or ERROR in any letter case, INFO when unset or empty. Any other
+// value aborts naming the variable, as EnvIntOrDie (common/flags.h) does
+// for integer knobs.
+inline LogLevel LogLevelOrDie(const char* value) {
+  if (value == nullptr || *value == '\0') return LogLevel::kInfo;
+  if (strcasecmp(value, "DEBUG") == 0) return LogLevel::kDebug;
+  if (strcasecmp(value, "INFO") == 0) return LogLevel::kInfo;
+  if (strcasecmp(value, "WARNING") == 0) return LogLevel::kWarning;
+  TGCRN_CHECK(strcasecmp(value, "ERROR") == 0)
+      << "TGCRN_LOG_LEVEL=\"" << value
+      << "\" is not one of DEBUG, INFO, WARNING, ERROR";
+  return LogLevel::kError;
 }
 
 // Mutable threshold, seeded from TGCRN_LOG_LEVEL on first use.
 inline std::atomic<int>& MinLogLevelStorage() {
-  static std::atomic<int> level{static_cast<int>(LogLevelFromEnv())};
+  static std::atomic<int> level{
+      static_cast<int>(LogLevelOrDie(std::getenv("TGCRN_LOG_LEVEL")))};
   return level;
 }
 

@@ -81,6 +81,14 @@ Result<SpatioTemporalData> LoadCsv(const std::string& path,
           std::to_string(expected_fields) + " fields, got " +
           std::to_string(fields.size()));
     }
+    // The timestamp index is not stored, but a row whose index is not a
+    // number is malformed, not data.
+    double timestamp = 0;
+    if (!ParseDouble(fields[0], &timestamp) || !std::isfinite(timestamp)) {
+      return Status::InvalidArgument(CellWhere(path, line_number, 0) +
+                                     " is not a finite timestamp: '" +
+                                     fields[0] + "'");
+    }
     double slot = 0, day = 0;
     // std::from_chars accepts "nan" and "inf"; no cell may hold them.
     if (!ParseDouble(fields[1], &slot) || !ParseDouble(fields[2], &day) ||
@@ -88,6 +96,12 @@ Result<SpatioTemporalData> LoadCsv(const std::string& path,
       return Status::InvalidArgument(
           path + ":" + std::to_string(line_number) +
           ": unparsable calendar fields");
+    }
+    if (slot != std::floor(slot) || day != std::floor(day)) {
+      return Status::InvalidArgument(
+          path + ":" + std::to_string(line_number) +
+          ": calendar fields must be integers: '" + fields[1] + "', '" +
+          fields[2] + "'");
     }
     if (slot < 0 || slot >= options.steps_per_day) {
       return Status::OutOfRange(

@@ -26,9 +26,11 @@ struct CsvLoadOptions {
 };
 
 // Parses the file at `path` into a SpatioTemporalData. Validates column
-// counts, calendar ranges (slot in [0, steps_per_day), day in [0, 7)),
+// counts, the timestamp index (a finite number, otherwise unused), the
+// calendar fields (integers, slot in [0, steps_per_day), day in [0, 7)),
 // numeric parse failures and non-finite cells (nan, inf, or a value that
-// overflows a float), naming the line and column of the bad cell.
+// overflows a float), naming the line and column of the bad cell. Every
+// malformed input is a Status error, never a crash.
 Result<SpatioTemporalData> LoadCsv(const std::string& path,
                                    const CsvLoadOptions& options);
 

@@ -63,8 +63,12 @@ void CsrIndex::BuildTranspose() {
       int64_t* out = t_slots.data() + b * n;
       for (int64_t s = 0; s < n; ++s) ++offs[ids[s] + 1];
       for (int64_t c = 0; c < cols; ++c) offs[c + 1] += offs[c];
-      std::vector<int64_t> cursor(offs, offs + cols);
-      for (int64_t s = 0; s < n; ++s) out[cursor[ids[s]]++] = s;
+      // Scatter with offs[c] as column c's cursor; afterwards offs[c]
+      // holds the end of column c, i.e. the start of column c + 1, so
+      // shifting up by one restores the offsets.
+      for (int64_t s = 0; s < n; ++s) out[offs[ids[s]]++] = s;
+      for (int64_t c = cols - 1; c > 0; --c) offs[c] = offs[c - 1];
+      offs[0] = 0;
     }
   });
 }

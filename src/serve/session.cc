@@ -8,6 +8,7 @@
 
 #include "autograd/variable.h"
 #include "common/check.h"
+#include "common/flags.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -44,12 +45,6 @@ ServeMetrics& Metrics() {
   return metrics;
 }
 
-int64_t EnvInt(const char* value, int64_t fallback) {
-  if (value == nullptr || *value == '\0') return fallback;
-  const long long parsed = std::atoll(value);
-  return parsed > 0 ? parsed : fallback;
-}
-
 // Wave batch width for `active` samples: the next power of two, so steady
 // state cycles through O(log batch_max) tensor shapes (maximizing pool
 // hits). Padding rows are zeros, and per-sample independence of the eval
@@ -64,10 +59,12 @@ int64_t WaveWidth(int64_t active) {
 
 SessionConfig SessionConfig::FromEnv() {
   SessionConfig config;
-  config.batch_max =
-      EnvInt(std::getenv("TGCRN_SERVE_BATCH_MAX"), config.batch_max);
-  config.max_entities =
-      EnvInt(std::getenv("TGCRN_SERVE_MAX_ENTITIES"), config.max_entities);
+  config.batch_max = EnvIntOrDie<int64_t>(
+      "TGCRN_SERVE_BATCH_MAX", std::getenv("TGCRN_SERVE_BATCH_MAX"),
+      config.batch_max, 1);
+  config.max_entities = EnvIntOrDie<int64_t>(
+      "TGCRN_SERVE_MAX_ENTITIES", std::getenv("TGCRN_SERVE_MAX_ENTITIES"),
+      config.max_entities, 1);
   return config;
 }
 

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -27,12 +28,6 @@ const char* const kStageNames[kServeStageCount] = {
 const char* const kOpNames[] = {
     "observe", "forecast", "evict", "stats", "shutdown", "other",
 };
-
-int64_t EnvInt64(const char* value, int64_t fallback) {
-  if (value == nullptr || *value == '\0') return fallback;
-  const long long parsed = std::atoll(value);
-  return parsed >= 0 ? parsed : fallback;
-}
 
 // The single armed telemetry instance, reachable from the observability
 // flush hook (abort path / SIGTERM) without plumbing a pointer there.
@@ -57,10 +52,12 @@ TelemetryConfig TelemetryConfig::FromEnv() {
   TelemetryConfig config;
   const char* path = std::getenv("TGCRN_SERVE_ACCESS_LOG");
   if (path != nullptr) config.access_log_path = path;
-  config.slow_us =
-      EnvInt64(std::getenv("TGCRN_SERVE_SLOW_US"), config.slow_us);
-  config.drift_every =
-      EnvInt64(std::getenv("TGCRN_SERVE_DRIFT_EVERY"), config.drift_every);
+  config.slow_us = EnvIntOrDie<int64_t>(
+      "TGCRN_SERVE_SLOW_US", std::getenv("TGCRN_SERVE_SLOW_US"),
+      config.slow_us, 0);
+  config.drift_every = EnvIntOrDie<int64_t>(
+      "TGCRN_SERVE_DRIFT_EVERY", std::getenv("TGCRN_SERVE_DRIFT_EVERY"),
+      config.drift_every, 0);
   return config;
 }
 

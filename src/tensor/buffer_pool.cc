@@ -2,8 +2,10 @@
 #include "tensor/buffer_pool.h"
 
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 
+#include "common/flags.h"
 #include "obs/metrics.h"
 
 namespace tgcrn {
@@ -54,11 +56,15 @@ PoolCounters& Counters() {
   return counters;
 }
 
+// TGCRN_TENSOR_POOL_MAX_MB in bytes; the cap is at least 1 MB and at
+// most what fits an int64_t byte count.
 int64_t MaxRetainedBytesFromEnv() {
-  const char* env = std::getenv("TGCRN_TENSOR_POOL_MAX_MB");
-  if (env == nullptr) return kDefaultMaxRetainedBytes;
-  const long long mb = std::atoll(env);
-  return mb > 0 ? mb * 1024ll * 1024ll : kDefaultMaxRetainedBytes;
+  constexpr int64_t kMiB = int64_t{1} << 20;
+  const int64_t mb = EnvIntOrDie<int64_t>(
+      "TGCRN_TENSOR_POOL_MAX_MB", std::getenv("TGCRN_TENSOR_POOL_MAX_MB"),
+      kDefaultMaxRetainedBytes / kMiB, 1,
+      std::numeric_limits<int64_t>::max() / kMiB);
+  return mb * kMiB;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -107,6 +108,44 @@ TEST(LoggingTest, LogEveryNMacroIsDanglingElseSafe) {
   // The stream expression runs only on emitting iterations (0 and 3).
   EXPECT_EQ(streamed, 2);
   SetMinLogLevel(original);
+}
+
+// TGCRN_LOG_LEVEL names a level in any letter case; unset or empty means
+// INFO, and anything else stops the process naming the variable (it used
+// to mean INFO silently).
+TEST(LoggingTest, LogLevelEnvParsesNamesInAnyCase) {
+  EXPECT_EQ(internal::LogLevelOrDie(nullptr), LogLevel::kInfo);
+  EXPECT_EQ(internal::LogLevelOrDie(""), LogLevel::kInfo);
+  EXPECT_EQ(internal::LogLevelOrDie("DEBUG"), LogLevel::kDebug);
+  EXPECT_EQ(internal::LogLevelOrDie("info"), LogLevel::kInfo);
+  EXPECT_EQ(internal::LogLevelOrDie("Warning"), LogLevel::kWarning);
+  EXPECT_EQ(internal::LogLevelOrDie("error"), LogLevel::kError);
+}
+
+TEST(LoggingDeathTest, UnknownLogLevelEnvAborts) {
+  for (const char* bad : {"LOUD", "2", "INFO ", "warn"}) {
+    EXPECT_DEATH((void)internal::LogLevelOrDie(bad),
+                 "TGCRN_LOG_LEVEL=\".*\" is not one of DEBUG, INFO, "
+                 "WARNING, ERROR")
+        << bad;
+  }
+}
+
+TEST(EnvIntOrDieTest, AcceptsWholeIntegersInRange) {
+  EXPECT_EQ(EnvIntOrDie<int64_t>("X", nullptr, 7, 1, 10), 7);
+  EXPECT_EQ(EnvIntOrDie<int64_t>("X", "", 7, 1, 10), 7);
+  EXPECT_EQ(EnvIntOrDie<int64_t>("X", "1", 7, 1, 10), 1);
+  EXPECT_EQ(EnvIntOrDie<int64_t>("X", "10", 7, 1, 10), 10);
+  EXPECT_EQ(EnvIntOrDie<int64_t>("X", "-3", 7), -3);  // default: full range
+}
+
+TEST(EnvIntOrDieDeathTest, RejectsPartialAndOutOfRangeValues) {
+  EXPECT_DEATH((void)EnvIntOrDie<int64_t>("KNOB", "12abc", 7, 1, 10),
+               "KNOB=\"12abc\" is not an integer");
+  EXPECT_DEATH((void)EnvIntOrDie<int64_t>("KNOB", "0", 7, 1, 10),
+               "KNOB=\"0\" is outside \\[1, 10\\]");
+  EXPECT_DEATH((void)EnvIntOrDie<int64_t>("KNOB", "11", 7, 1, 10),
+               "KNOB=\"11\" is outside \\[1, 10\\]");
 }
 
 TEST(RngTest, DeterministicStreams) {

@@ -3,11 +3,19 @@
 // path (the Status-based error surface of the public API).
 #include "data/csv_loader.h"
 
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <regex>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "datagen/electricity_sim.h"
 
 namespace tgcrn {
@@ -163,6 +171,208 @@ TEST(CsvLoaderTest, SimulatorRoundTrip) {
   EXPECT_EQ(loaded.slot_of_day, sim.data.slot_of_day);
   EXPECT_EQ(loaded.day_of_week, sim.data.day_of_week);
   std::filesystem::remove(path);
+}
+
+// --- Seeded fuzz -------------------------------------------------------------
+
+// The loader's acceptance rules restated independently, the oracle the
+// fuzz test holds LoadCsv to. A number is optional leading spaces or tabs,
+// an optional '-', then a decimal mantissa with an optional exponent, or
+// nan / inf / infinity in any case (std::from_chars' grammar, minus the
+// exponent overflow cases the fuzz alphabet never produces).
+bool ReferenceNumber(const std::string& field, double* out) {
+  size_t i = 0;
+  while (i < field.size() && (field[i] == ' ' || field[i] == '\t')) ++i;
+  const std::string body = field.substr(i);
+  static const std::regex kNumber(
+      "-?((([0-9]+\\.?[0-9]*)|(\\.[0-9]+))([eE]-?[0-9]+)?|"
+      "[nN][aA][nN]|[iI][nN][fF]|[iI][nN][fF][iI][nN][iI][tT][yY])");
+  if (!std::regex_match(body, kNumber)) return false;
+  *out = std::strtod(body.c_str(), nullptr);
+  return true;
+}
+
+struct ReferenceLoad {
+  int64_t bad_line = -1;  // 1-based line of the first defect; 0: no rows
+  std::vector<float> values;
+  std::vector<int64_t> slots, days;
+};
+
+ReferenceLoad ReferenceParse(const std::string& text,
+                             const data::CsvLoadOptions& options) {
+  ReferenceLoad ref;
+  const size_t fields_per_row =
+      static_cast<size_t>(3 + options.num_nodes * options.num_features);
+  std::vector<std::string> lines;
+  size_t start = 0;
+  while (start < text.size()) {
+    const size_t nl = text.find('\n', start);
+    const size_t end = nl == std::string::npos ? text.size() : nl;
+    lines.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  bool first = true;
+  for (size_t li = 0; li < lines.size(); ++li) {
+    if (lines[li].empty()) continue;
+    std::vector<std::string> fields;
+    std::stringstream row(lines[li]);
+    std::string field;
+    while (std::getline(row, field, ',')) fields.push_back(field);
+    if (lines[li].back() == ',') fields.emplace_back();
+    double v = 0.0;
+    if (first) {
+      first = false;
+      if (!ReferenceNumber(fields[0], &v)) continue;  // header
+    }
+    const int64_t line = static_cast<int64_t>(li) + 1;
+    double ts = 0.0, slot = 0.0, day = 0.0;
+    if (fields.size() != fields_per_row ||
+        !ReferenceNumber(fields[0], &ts) || !std::isfinite(ts) ||
+        !ReferenceNumber(fields[1], &slot) || !std::isfinite(slot) ||
+        !ReferenceNumber(fields[2], &day) || !std::isfinite(day) ||
+        slot != std::floor(slot) || day != std::floor(day) || slot < 0 ||
+        slot >= options.steps_per_day || day < 0 || day >= 7) {
+      ref.bad_line = line;
+      return ref;
+    }
+    for (size_t f = 3; f < fields.size(); ++f) {
+      if (!ReferenceNumber(fields[f], &v) || !std::isfinite(v) ||
+          std::fabs(v) > std::numeric_limits<float>::max()) {
+        ref.bad_line = line;
+        return ref;
+      }
+      ref.values.push_back(static_cast<float>(v));
+    }
+    ref.slots.push_back(static_cast<int64_t>(slot));
+    ref.days.push_back(static_cast<int64_t>(day));
+  }
+  if (ref.slots.empty()) ref.bad_line = 0;
+  return ref;
+}
+
+// One seeded mutation of a valid CSV: 1-3 byte edits (replace, delete,
+// insert from a small alphabet), then possibly a whole cell replaced by a
+// token, a line dropped or duplicated, and a truncation at a random byte.
+// Exponents enter only through the tokens, so no edit makes a literal
+// overflow or underflow a double.
+std::string Mutate(const std::string& base, Rng* rng) {
+  static const std::string kAlphabet = "0123456789.-,\n \tx\r";
+  static const std::vector<std::string> kTokens = {
+      "",     "nan", "-inf", "1e39", "abc", "1.5", "-1", "7",
+      "3",    "0",   "1e-3", " 2",   "2 ",  "0x1", "+1", "-0",
+      "1e",   "..",  "Infinity"};
+  std::string text = base;
+  auto pick = [rng](size_t n) {
+    return static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  const int64_t edits = rng->UniformInt(0, 3);
+  for (int64_t e = 0; e < edits && !text.empty(); ++e) {
+    const size_t at = pick(text.size());
+    const char c = kAlphabet[pick(kAlphabet.size())];
+    switch (rng->UniformInt(0, 2)) {
+      case 0: text[at] = c; break;
+      case 1: text.erase(at, 1); break;
+      default: text.insert(text.begin() + static_cast<int64_t>(at), c);
+    }
+  }
+  if (rng->UniformInt(0, 1) == 1 && !text.empty()) {
+    // Replace the cell around a random byte (between two delimiters).
+    const size_t at = pick(text.size());
+    size_t lo = text.find_last_of(",\n", at);
+    lo = lo == std::string::npos ? 0 : lo + 1;
+    if (lo > at) lo = at;
+    size_t hi = text.find_first_of(",\n", at);
+    if (hi == std::string::npos) hi = text.size();
+    text.replace(lo, hi - lo, kTokens[pick(kTokens.size())]);
+  }
+  if (rng->UniformInt(0, 3) == 0) {
+    // Drop or duplicate one line.
+    std::vector<std::string> lines;
+    std::stringstream in(text);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    if (!lines.empty()) {
+      const size_t at = pick(lines.size());
+      if (rng->UniformInt(0, 1) == 0) {
+        lines.erase(lines.begin() + static_cast<int64_t>(at));
+      } else {
+        lines.insert(lines.begin() + static_cast<int64_t>(at), lines[at]);
+      }
+    }
+    text.clear();
+    for (const std::string& line : lines) text += line + "\n";
+  }
+  if (rng->UniformInt(0, 2) == 0) text.resize(pick(text.size() + 1));
+  return text;
+}
+
+// Seeded fuzz over mutated and truncated copies of valid CSVs (with and
+// without a header): no input crashes the loader, every input the oracle
+// rejects comes back as a Status error naming the first bad line, and
+// every input it accepts loads to exactly the oracle's values and
+// calendar.
+TEST(CsvLoaderFuzzTest, MutatedFilesLoadOrFailWithStatus) {
+  const data::CsvLoadOptions options = SmallOptions();
+  const std::vector<std::string> bases = {
+      "0,0,0,1.5,2.5\n1,1,0,3.5,4.5\n2,2,1,5.5,-6.25\n3,3,6,0,1e-3\n",
+      "t,slot_of_day,day_of_week,node0_f0,node1_f0\n"
+      "0,0,1,1,2\n1,1,1,3,4\n2,2,2,-0.5,.75\n",
+  };
+  const auto path = std::filesystem::temp_directory_path() /
+                    "tgcrn_csv_fuzz.csv";
+  Rng rng(2026);
+  int64_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::string text =
+        Mutate(bases[static_cast<size_t>(iter) % bases.size()], &rng);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    const ReferenceLoad ref = ReferenceParse(text, options);
+    auto result = data::LoadCsv(path.string(), options);
+    ASSERT_EQ(result.ok(), ref.bad_line < 0)
+        << "input:\n" << text << "\nloader: "
+        << (result.ok() ? "ok" : result.status().ToString());
+    if (!result.ok()) {
+      ++rejected;
+      std::string where = "no data rows";
+      if (ref.bad_line > 0) {
+        where = ":";
+        where += std::to_string(ref.bad_line);
+        where += ":";
+      }
+      EXPECT_NE(result.status().message().find(where), std::string::npos)
+          << "input:\n" << text << "\nloader: " << result.status().ToString();
+      continue;
+    }
+    ++accepted;
+    const auto& got = result.ValueOrDie();
+    ASSERT_EQ(got.values.numel(), static_cast<int64_t>(ref.values.size()));
+    for (int64_t i = 0; i < got.values.numel(); ++i) {
+      ASSERT_EQ(got.values.flat(i), ref.values[static_cast<size_t>(i)])
+          << "input:\n" << text;
+    }
+    EXPECT_EQ(got.slot_of_day, ref.slots) << "input:\n" << text;
+    EXPECT_EQ(got.day_of_week, ref.days) << "input:\n" << text;
+  }
+  std::filesystem::remove(path);
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 300);
+}
+
+TEST(CsvLoaderTest, RejectsNonIntegerCalendarAndBadTimestamp) {
+  for (const char* contents :
+       {"0,0,0,1,2\n1,1.5,0,1,2\n", "0,0,0,1,2\n1,1,2.25,1,2\n",
+        "0,0,0,1,2\nabc,1,0,1,2\n", "0,0,0,1,2\nnan,1,0,1,2\n"}) {
+    const auto path = TempCsv("tgcrn_csv10.csv", contents);
+    auto result = data::LoadCsv(path.string(), SmallOptions());
+    ASSERT_FALSE(result.ok()) << contents;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(":2:"), std::string::npos)
+        << result.status().ToString();
+    std::filesystem::remove(path);
+  }
 }
 
 }  // namespace

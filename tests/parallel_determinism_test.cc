@@ -455,46 +455,50 @@ TEST(ParallelDeterminismTest, MatmulAndVmathPerIsa) {
 
 // Sparse-path matrix entry: top-k selection, CSR SpMM forward and both
 // backward kernels must be thread-count invariant at each fixed ISA (the
-// 1/2/4/8-thread x scalar/avx2 grid). Forward output and the gradients to
-// the dense logits and the features are packed into one tensor so a single
-// memcmp covers the whole sparse pipeline.
+// 1/2/4/8-thread x scalar/avx2 grid), at c = 9 and at c = 10, the width
+// of the GCGRU's training aggregation (one full 8-lane block plus a
+// masked tail). Forward output and the gradients to the dense logits and
+// the features are packed into one tensor so a single memcmp covers the
+// whole sparse pipeline.
 TEST(ParallelDeterminismTest, SparseTopKAndSpmmPerIsa) {
   for (const common::SimdIsa isa : AvailableIsas()) {
     common::ScopedSimdIsa pin(isa);
-    ExpectBitwiseIdenticalAcrossThreads(
-        [] {
-          Rng rng(77);
-          ag::Variable dense(
-              ag::Softmax(
-                  ag::Variable(
-                      Tensor::RandUniform({3, 41, 41}, -2.0f, 2.0f, &rng)),
-                  -1)
-                  .value(),
-              /*requires_grad=*/true);
-          ag::Variable x(Tensor::RandUniform({3, 41, 9}, -1.0f, 1.0f, &rng),
-                         /*requires_grad=*/true);
-          ag::SparseGraph sg = ag::SparsifyTopK(dense, 7);
-          ag::Variable out = ag::SpmmCsr(sg, x);
-          ag::SumAll(ag::Mul(out, out)).Backward();
-          const Tensor& fwd = out.value();
-          const Tensor& gd = dense.grad();
-          const Tensor& gx = x.grad();
-          Tensor packed =
-              Tensor::ForOverwrite({fwd.numel() + gd.numel() + gx.numel()});
-          int64_t at = 0;
-          for (int64_t i = 0; i < fwd.numel(); ++i) {
-            packed.set_flat(at++, fwd.flat(i));
-          }
-          for (int64_t i = 0; i < gd.numel(); ++i) {
-            packed.set_flat(at++, gd.flat(i));
-          }
-          for (int64_t i = 0; i < gx.numel(); ++i) {
-            packed.set_flat(at++, gx.flat(i));
-          }
-          return packed;
-        },
-        std::string("sparse topk+spmm fwd/bwd isa=") +
-            common::SimdIsaName(isa));
+    for (const int64_t c : {9, 10}) {
+      ExpectBitwiseIdenticalAcrossThreads(
+          [c] {
+            Rng rng(77);
+            ag::Variable dense(
+                ag::Softmax(
+                    ag::Variable(
+                        Tensor::RandUniform({3, 41, 41}, -2.0f, 2.0f, &rng)),
+                    -1)
+                    .value(),
+                /*requires_grad=*/true);
+            ag::Variable x(Tensor::RandUniform({3, 41, c}, -1.0f, 1.0f, &rng),
+                           /*requires_grad=*/true);
+            ag::SparseGraph sg = ag::SparsifyTopK(dense, 7);
+            ag::Variable out = ag::SpmmCsr(sg, x);
+            ag::SumAll(ag::Mul(out, out)).Backward();
+            const Tensor& fwd = out.value();
+            const Tensor& gd = dense.grad();
+            const Tensor& gx = x.grad();
+            Tensor packed =
+                Tensor::ForOverwrite({fwd.numel() + gd.numel() + gx.numel()});
+            int64_t at = 0;
+            for (int64_t i = 0; i < fwd.numel(); ++i) {
+              packed.set_flat(at++, fwd.flat(i));
+            }
+            for (int64_t i = 0; i < gd.numel(); ++i) {
+              packed.set_flat(at++, gd.flat(i));
+            }
+            for (int64_t i = 0; i < gx.numel(); ++i) {
+              packed.set_flat(at++, gx.flat(i));
+            }
+            return packed;
+          },
+          std::string("sparse topk+spmm fwd/bwd isa=") +
+              common::SimdIsaName(isa) + " c=" + std::to_string(c));
+    }
   }
 }
 

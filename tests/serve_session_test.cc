@@ -6,6 +6,7 @@
 // documented in docs/SERVING.md.
 #include "serve/session.h"
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -383,6 +384,46 @@ TEST_F(ServeSessionFixture, PoolFloorIsRestoredWhenTheSessionEnds) {
   Tensor again = Tensor::Zeros({100});
   EXPECT_EQ(pool.GetStats().hits, before.hits + 1)
       << "a sub-256-element tensor bypassed the pool after the session";
+}
+
+// TGCRN_SERVE_BATCH_MAX and TGCRN_SERVE_MAX_ENTITIES are whole integers
+// >= 1, default when unset or empty. A partial, non-numeric or
+// non-positive value stops the process naming the variable; atoll used to
+// read "12abc" as 12 and turn "abc" and "-3" into the default.
+TEST(SessionConfigEnvTest, ValidValuesAreRead) {
+  setenv("TGCRN_SERVE_BATCH_MAX", "7", 1);
+  setenv("TGCRN_SERVE_MAX_ENTITIES", "", 1);
+  const serve::SessionConfig config = serve::SessionConfig::FromEnv();
+  EXPECT_EQ(config.batch_max, 7);
+  EXPECT_EQ(config.max_entities, serve::SessionConfig().max_entities);
+  unsetenv("TGCRN_SERVE_BATCH_MAX");
+  unsetenv("TGCRN_SERVE_MAX_ENTITIES");
+  EXPECT_EQ(serve::SessionConfig::FromEnv().batch_max,
+            serve::SessionConfig().batch_max);
+}
+
+TEST(SessionConfigEnvDeathTest, MalformedValuesAbort) {
+  for (const char* name :
+       {"TGCRN_SERVE_BATCH_MAX", "TGCRN_SERVE_MAX_ENTITIES"}) {
+    for (const char* bad : {"12abc", "abc", "1.5"}) {
+      EXPECT_DEATH(
+          {
+            setenv(name, bad, 1);
+            (void)serve::SessionConfig::FromEnv();
+          },
+          std::string(name) + "=\".*\" is not an integer")
+          << name << "=" << bad;
+    }
+    for (const char* bad : {"-3", "0"}) {
+      EXPECT_DEATH(
+          {
+            setenv(name, bad, 1);
+            (void)serve::SessionConfig::FromEnv();
+          },
+          std::string(name) + "=\".*\" is outside \\[1, ")
+          << name << "=" << bad;
+    }
+  }
 }
 
 }  // namespace

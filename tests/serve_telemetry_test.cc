@@ -7,6 +7,7 @@
 #include "serve/telemetry.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -349,6 +350,45 @@ TEST_F(ServeTelemetryFixture, DriftBlockCarriesLiveGraphHealth) {
   serve::DriftMonitor cold(session_, config);
   cold.RecordObservation("probe", 1, 0, raw_->values.data());
   EXPECT_TRUE(cold.Block()["graph"].is_null());
+}
+
+// TGCRN_SERVE_SLOW_US and TGCRN_SERVE_DRIFT_EVERY are whole integers
+// >= 0 (0 switches the feature off), default when unset or empty. A
+// partial, non-numeric or negative value stops the process naming the
+// variable; atoll used to read "12abc" as 12 and turn "abc" and "-3" into
+// the default.
+TEST(TelemetryConfigEnvTest, ValidValuesAreRead) {
+  setenv("TGCRN_SERVE_SLOW_US", "250", 1);
+  setenv("TGCRN_SERVE_DRIFT_EVERY", "0", 1);
+  const serve::TelemetryConfig config = serve::TelemetryConfig::FromEnv();
+  EXPECT_EQ(config.slow_us, 250);
+  EXPECT_EQ(config.drift_every, 0);
+  unsetenv("TGCRN_SERVE_SLOW_US");
+  unsetenv("TGCRN_SERVE_DRIFT_EVERY");
+  const serve::TelemetryConfig defaults = serve::TelemetryConfig::FromEnv();
+  EXPECT_EQ(defaults.slow_us, serve::TelemetryConfig().slow_us);
+  EXPECT_EQ(defaults.drift_every, serve::TelemetryConfig().drift_every);
+}
+
+TEST(TelemetryConfigEnvDeathTest, MalformedValuesAbort) {
+  for (const char* name : {"TGCRN_SERVE_SLOW_US", "TGCRN_SERVE_DRIFT_EVERY"}) {
+    for (const char* bad : {"12abc", "abc", "99999999999999999999"}) {
+      EXPECT_DEATH(
+          {
+            setenv(name, bad, 1);
+            (void)serve::TelemetryConfig::FromEnv();
+          },
+          std::string(name) + "=\".*\" is not an integer")
+          << name << "=" << bad;
+    }
+    EXPECT_DEATH(
+        {
+          setenv(name, "-3", 1);
+          (void)serve::TelemetryConfig::FromEnv();
+        },
+        std::string(name) + "=\"-3\" is outside \\[0, ")
+        << name;
+  }
 }
 
 }  // namespace

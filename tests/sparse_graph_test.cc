@@ -12,6 +12,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "graph/csr.h"
 #include "gradcheck.h"
 #include "obs/prof.h"
+#include "tensor/kernels/spmm.h"
 
 namespace tgcrn {
 namespace {
@@ -347,6 +349,162 @@ TEST(SpmmCsrTest, GradcheckValuesAndFeatures) {
   Variable x(Tensor::RandUniform({batch, n, c}, -1.0f, 1.0f, &rng2),
              /*requires_grad=*/true);
   ExpectGradientsClose(fn, {values, x});
+}
+
+// --- AVX2 SpMM kernels vs the per-slot FMA loop -----------------------------
+
+// A batch-1 CSR structure with ragged rows: row r keeps a random subset of
+// the columns (ascending), row 3 keeps all of them, rows 0 and 5 keep
+// none, and column 2 is never kept, so the kernels meet rows with no
+// slots, columns with no incoming slot, and eight-slot groups inside one
+// row as well as across rows.
+graph::CsrIndex RaggedIndex(int64_t rows, int64_t cols, uint64_t seed) {
+  Rng rng(seed);
+  graph::CsrIndex index;
+  index.batch = 1;
+  index.rows = rows;
+  index.cols = cols;
+  index.row_offsets.push_back(0);
+  for (int64_t r = 0; r < rows; ++r) {
+    if (r != 0 && r != 5) {
+      for (int64_t col = 0; col < cols; ++col) {
+        if (col != 2 && (r == 3 || rng.NextDouble() < 0.4)) {
+          index.col_ids.push_back(col);
+          index.slot_rows.push_back(r);
+        }
+      }
+    }
+    index.row_offsets.push_back(static_cast<int64_t>(index.col_ids.size()));
+  }
+  index.Validate();
+  index.BuildTranspose();
+  return index;
+}
+
+std::vector<float> RandomFloats(int64_t n, Rng* rng) {
+  std::vector<float> out(static_cast<size_t>(n));
+  for (float& v : out) v = rng->Uniform(-1.0f, 1.0f);
+  return out;
+}
+
+// The per-slot AVX2 loop, one lane at a time: out[j] starts at +0 and
+// takes one fused multiply-add per slot in ascending slot order.
+void ReferenceFmaRow(const std::vector<std::pair<float, const float*>>& terms,
+                     int64_t c, float* out) {
+  for (int64_t j = 0; j < c; ++j) {
+    float acc = 0.0f;
+    for (const auto& [v, src] : terms) acc = std::fma(v, src[j], acc);
+    out[j] = acc;
+  }
+}
+
+// The per-slot value-gradient loop: lane l of an 8-lane accumulator
+// collects elements l, l + 8, ... as one FMA chain from +0 (a masked tail
+// lane fuses 0 * 0), then the fixed HSum tree
+// ((a0 + a4) + (a2 + a6)) + ((a1 + a5) + (a3 + a7)).
+float ReferenceSlotDot(const float* g, const float* x, int64_t c) {
+  float lane[8] = {};
+  for (int64_t j0 = 0; j0 < c; j0 += 8) {
+    for (int64_t l = 0; l < 8; ++l) {
+      const bool in = j0 + l < c;
+      lane[l] = std::fma(in ? g[j0 + l] : 0.0f, in ? x[j0 + l] : 0.0f,
+                         lane[l]);
+    }
+  }
+  return ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+         ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
+
+::testing::AssertionResult BitwiseEqual(const float* got, const float* want,
+                                        int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    if (std::memcmp(got + i, want + i, sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": got " << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every AVX2 SpMM kernel equals its per-slot reference bitwise at every
+// width c = 1..40 (full blocks, masked tails, one and two column passes),
+// with the forward output at ldo = c and 2c, called over whole and split
+// row / column / slot ranges.
+TEST(SpmmKernelTest, Avx2MatchesPerSlotFmaLoopBitwise) {
+  if (!(common::Avx2CompiledIn() && common::CpuSupportsAvx2())) {
+    GTEST_SKIP() << "AVX2 not available in this build/CPU";
+  }
+  const spmm::Kernels& kern = spmm::GetKernels(common::SimdIsa::kAvx2);
+  const int64_t rows = 13, cols = 19;
+  const graph::CsrIndex index = RaggedIndex(rows, cols, 91);
+  const int64_t nnz = index.nnz();
+  ASSERT_GT(nnz, 16);
+  Rng rng(92);
+  const std::vector<float> values = RandomFloats(nnz, &rng);
+  const float sentinel = -7.25f;
+  for (int64_t c = 1; c <= 40; ++c) {
+    const std::vector<float> x = RandomFloats(cols * c, &rng);
+    const std::vector<float> g = RandomFloats(rows * c, &rng);
+
+    for (const int64_t ldo : {c, 2 * c}) {
+      std::vector<float> want(static_cast<size_t>(rows * ldo), sentinel);
+      for (int64_t r = 0; r < rows; ++r) {
+        std::vector<std::pair<float, const float*>> terms;
+        for (int64_t s = index.row_offsets[r]; s < index.row_offsets[r + 1];
+             ++s) {
+          terms.emplace_back(values[s], x.data() + index.col_ids[s] * c);
+        }
+        ReferenceFmaRow(terms, c, want.data() + r * ldo);
+      }
+      for (const int64_t split : {rows, int64_t{6}}) {
+        std::vector<float> got(static_cast<size_t>(rows * ldo), sentinel);
+        kern.spmm_rows(index.row_offsets.data(), index.col_ids.data(),
+                       values.data(), x.data(), 0, split, c, got.data(), ldo);
+        kern.spmm_rows(index.row_offsets.data(), index.col_ids.data(),
+                       values.data(), x.data(), split, rows, c, got.data(),
+                       ldo);
+        ASSERT_TRUE(BitwiseEqual(got.data(), want.data(), rows * ldo))
+            << "spmm_rows c=" << c << " ldo=" << ldo << " split=" << split;
+      }
+    }
+
+    std::vector<float> want_gx(static_cast<size_t>(cols * c));
+    for (int64_t col = 0; col < cols; ++col) {
+      std::vector<std::pair<float, const float*>> terms;
+      for (int64_t i = index.t_offsets[col]; i < index.t_offsets[col + 1];
+           ++i) {
+        const int64_t s = index.t_slots[i];
+        terms.emplace_back(values[s], g.data() + index.slot_rows[s] * c);
+      }
+      ReferenceFmaRow(terms, c, want_gx.data() + col * c);
+    }
+    for (const int64_t split : {cols, int64_t{3}}) {
+      std::vector<float> got(static_cast<size_t>(cols * c), sentinel);
+      kern.spmm_t_cols(index.t_offsets.data(), index.t_slots.data(),
+                       index.slot_rows.data(), values.data(), g.data(), 0,
+                       split, c, got.data());
+      kern.spmm_t_cols(index.t_offsets.data(), index.t_slots.data(),
+                       index.slot_rows.data(), values.data(), g.data(), split,
+                       cols, c, got.data());
+      ASSERT_TRUE(BitwiseEqual(got.data(), want_gx.data(), cols * c))
+          << "spmm_t_cols c=" << c << " split=" << split;
+    }
+
+    std::vector<float> want_gv(static_cast<size_t>(nnz));
+    for (int64_t s = 0; s < nnz; ++s) {
+      want_gv[s] = ReferenceSlotDot(g.data() + index.slot_rows[s] * c,
+                                    x.data() + index.col_ids[s] * c, c);
+    }
+    for (const int64_t split : {nnz, int64_t{3}}) {
+      std::vector<float> got(static_cast<size_t>(nnz), sentinel);
+      kern.spmm_grad_values(index.slot_rows.data(), index.col_ids.data(),
+                            g.data(), x.data(), 0, split, c, got.data());
+      kern.spmm_grad_values(index.slot_rows.data(), index.col_ids.data(),
+                            g.data(), x.data(), split, nnz, c, got.data());
+      ASSERT_TRUE(BitwiseEqual(got.data(), want_gv.data(), nnz))
+          << "spmm_grad_values c=" << c << " split=" << split;
+    }
+  }
 }
 
 // --- SparsifyTopK as an autograd op ----------------------------------------

@@ -6,6 +6,8 @@
 // training-step-shaped workload.
 #include "tensor/buffer_pool.h"
 
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
@@ -133,6 +135,57 @@ TEST_F(TensorPoolTest, PoolCountersAreRegistered) {
   EXPECT_GE(reg.GetCounter("tensor.pool_hit")->Value(), 0);
   EXPECT_GE(reg.GetCounter("tensor.pool_miss")->Value(), 0);
   EXPECT_GE(reg.GetCounter("tensor.pool_bytes_reused")->Value(), 0);
+}
+
+// TGCRN_TENSOR_POOL_MAX_MB is one whole integer of megabytes in
+// [1, INT64_MAX / 2^20]. A partial ("12abc"), non-numeric, non-positive or
+// overflowing value stops the process naming the variable; atoll used to
+// read "12abc" as 12, turn "abc" and "-3" into the default, and overflow
+// int64 on 9000000000000 MB. Each case runs in a fresh process, where the
+// global pool reads the variable on first use.
+TEST(TensorPoolEnvDeathTest, MalformedMaxMbAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"12abc", "abc", " 5"}) {
+    EXPECT_DEATH(
+        {
+          setenv("TGCRN_TENSOR_POOL_MAX_MB", bad, 1);
+          (void)TensorBufferPool::Global();
+        },
+        "TGCRN_TENSOR_POOL_MAX_MB=\".*\" is not an integer")
+        << bad;
+  }
+  for (const char* bad : {"-3", "0", "9000000000000"}) {
+    EXPECT_DEATH(
+        {
+          setenv("TGCRN_TENSOR_POOL_MAX_MB", bad, 1);
+          (void)TensorBufferPool::Global();
+        },
+        "TGCRN_TENSOR_POOL_MAX_MB=\".*\" is outside \\[1, 8796093022207\\]")
+        << bad;
+  }
+}
+
+// A valid cap is honoured: with 1 MB a released 4 MB buffer is freed, not
+// parked; with the variable unset (512 MB) it is parked.
+TEST(TensorPoolEnvDeathTest, ValidMaxMbCapsRetainedBytes) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr int64_t kFourMbNumel = int64_t{1} << 20;
+  EXPECT_EXIT(
+      {
+        setenv("TGCRN_TENSOR_POOL_MAX_MB", "1", 1);
+        auto& pool = TensorBufferPool::Global();
+        (void)pool.AcquireZeroed(kFourMbNumel);
+        std::exit(pool.GetStats().cached_bytes == 0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(
+      {
+        unsetenv("TGCRN_TENSOR_POOL_MAX_MB");
+        auto& pool = TensorBufferPool::Global();
+        (void)pool.AcquireZeroed(kFourMbNumel);
+        std::exit(pool.GetStats().cached_bytes >= 4 * kFourMbNumel ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
