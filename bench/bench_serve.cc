@@ -14,29 +14,19 @@
 // tgcrn_report_diff gates against bench_results/baselines/serve_smoke.jsonl
 // in CI, exactly how training-phase timings are gated. With
 // --require-zero-alloc 1 the bench exits non-zero on any steady-state
-// tensor heap allocation.
-//
-// With --access-log, the measured phase is additionally recorded through
-// the real ServeTelemetry sink (a synthesized RequestTrace per request,
-// stamped from the session's wave timings): the per-stage histograms
-// feed stage_* rows into the report, and after the run the access log is
-// read back and validated — every request id appears exactly once and
-// every line's stage offsets are monotone non-decreasing. Violations
-// exit non-zero, making the bench a telemetry integration check too.
+// tensor heap allocation. Per-stage request telemetry comes only from
+// the real server (tgcrn_serve with TGCRN_SERVE_ACCESS_LOG).
 //
 // Usage:
 //   bench_serve [--entities E] [--warm-steps W] [--requests R]
 //       [--forecast-every F] [--rate QPS] [--nodes N] [--hidden H]
-//       [--horizon Q] [--steps-per-day S] [--topk K] [--batch-max B]
+//       [--horizon Q] [--steps-per-day S] [--topk K]
 //       [--seed S] [--threads T] [--report serve.jsonl]
-//       [--access-log access.jsonl] [--require-zero-alloc 0|1]
+//       [--require-zero-alloc 0|1]
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flags.h"
@@ -47,9 +37,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/report.h"
-#include "obs/trace.h"
 #include "serve/session.h"
-#include "serve/telemetry.h"
 
 namespace {
 
@@ -64,11 +52,9 @@ struct Args {
   int64_t horizon = 4;
   int64_t steps_per_day = 72;
   int64_t topk = 0;
-  int64_t batch_max = 32;
   uint64_t seed = 7;
   int threads = 0;
   std::string report_path;
-  std::string access_log_path;
   int require_zero_alloc = 0;  // nonzero: fail on steady allocations
 };
 
@@ -84,11 +70,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       .Add("--horizon", &args->horizon)
       .Add("--steps-per-day", &args->steps_per_day)
       .Add("--topk", &args->topk)
-      .Add("--batch-max", &args->batch_max)
       .Add("--seed", &args->seed)
       .Add("--threads", &args->threads)
       .Add("--report", &args->report_path)
-      .Add("--access-log", &args->access_log_path)
       .Add("--require-zero-alloc", &args->require_zero_alloc);
   return flags.Parse(argc, argv, 1) && args->entities > 0 &&
          args->requests > 0 && args->forecast_every > 1 && args->rate > 0.0;
@@ -101,117 +85,6 @@ struct Client {
   int64_t sent = 0;
 };
 
-// Builds the trace a server would have stamped for one in-process
-// request: read/parse collapse to the round start (no socket), the wave
-// timings provide batch_wait/gather/kernel/scatter, and serialize/flush
-// collapse to the wave end (no response encoding in the bench loop).
-tgcrn::serve::RequestTrace SynthesizeTrace(
-    int64_t id, int16_t op, int64_t round_start_ns,
-    const tgcrn::serve::WaveTiming& wave) {
-  tgcrn::serve::RequestTrace trace;
-  trace.Reset();
-  trace.id = id;
-  trace.op = op;
-  trace.status = 0;
-  trace.entity_count = 1;
-  trace.batch_width = static_cast<int32_t>(wave.active);
-  trace.start_ns = round_start_ns;
-  trace.Stamp(tgcrn::serve::kStageRead, round_start_ns);
-  trace.Stamp(tgcrn::serve::kStageParse, round_start_ns);
-  trace.Stamp(tgcrn::serve::kStageBatchWait, wave.start_ns);
-  trace.Stamp(tgcrn::serve::kStageGather, wave.gather_end_ns);
-  trace.Stamp(tgcrn::serve::kStageKernel, wave.kernel_end_ns);
-  trace.Stamp(tgcrn::serve::kStageScatter, wave.scatter_end_ns);
-  trace.Stamp(tgcrn::serve::kStageSerialize, wave.scatter_end_ns);
-  trace.Stamp(tgcrn::serve::kStageFlush, wave.scatter_end_ns);
-  return trace;
-}
-
-// Reads the access log back and checks the exactly-once and monotonicity
-// contracts: every expected request id appears once, every request
-// line's cumulative stage offsets never decrease in lifecycle order, and
-// every line parses with the documented schema. Returns the number of
-// violations (0 = clean), printing each one.
-int ValidateAccessLog(const std::string& path, int64_t expected_requests) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "access log %s: cannot open\n", path.c_str());
-    return 1;
-  }
-  int violations = 0;
-  int64_t request_lines = 0;
-  std::unordered_set<long long> seen_ids;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    tgcrn::obs::Json entry;
-    std::string error;
-    if (!tgcrn::obs::Json::Parse(line, &entry, &error)) {
-      std::fprintf(stderr, "access log line %d: unparseable: %s\n", lineno,
-                   error.c_str());
-      ++violations;
-      continue;
-    }
-    const std::string type = entry.GetString("type");
-    if (type != "request") continue;  // drift/slow blocks have own shapes
-    ++request_lines;
-    const long long id = entry.GetInt("id", -1);
-    if (id <= 0) {
-      std::fprintf(stderr, "access log line %d: missing/invalid id\n",
-                   lineno);
-      ++violations;
-    } else if (!seen_ids.insert(id).second) {
-      std::fprintf(stderr, "access log line %d: duplicate id %lld\n", lineno,
-                   id);
-      ++violations;
-    }
-    if (!entry.Has("op") || !entry.Has("status") || !entry.Has("total_us") ||
-        !entry.Has("batch") || !entry.Has("entities")) {
-      std::fprintf(stderr, "access log line %d: missing schema keys\n",
-                   lineno);
-      ++violations;
-    }
-    const tgcrn::obs::Json& stage_us = entry["stage_us"];
-    if (!stage_us.is_object()) {
-      std::fprintf(stderr, "access log line %d: missing stage_us\n", lineno);
-      ++violations;
-      continue;
-    }
-    int64_t prev = 0;
-    for (int s = 0; s < tgcrn::serve::kServeStageCount; ++s) {
-      const char* name = tgcrn::serve::ServeStageName(s);
-      if (!stage_us.Has(name)) {
-        std::fprintf(stderr, "access log line %d: stage_us lacks %s\n",
-                     lineno, name);
-        ++violations;
-        break;
-      }
-      const int64_t offset = stage_us.GetInt(name, -1);
-      if (offset < prev) {
-        std::fprintf(stderr,
-                     "access log line %d: stage %s offset %lld < previous "
-                     "%lld (non-monotone)\n",
-                     lineno, name, static_cast<long long>(offset),
-                     static_cast<long long>(prev));
-        ++violations;
-        break;
-      }
-      prev = offset;
-    }
-  }
-  if (request_lines != expected_requests) {
-    std::fprintf(stderr,
-                 "access log: %lld request lines, expected %lld (each "
-                 "request must appear exactly once)\n",
-                 static_cast<long long>(request_lines),
-                 static_cast<long long>(expected_requests));
-    ++violations;
-  }
-  return violations;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -221,9 +94,9 @@ int main(int argc, char** argv) {
                  "usage: bench_serve [--entities E] [--warm-steps W]\n"
                  "  [--requests R] [--forecast-every F] [--rate QPS]\n"
                  "  [--nodes N] [--hidden H] [--horizon Q]\n"
-                 "  [--steps-per-day S] [--topk K] [--batch-max B]\n"
+                 "  [--steps-per-day S] [--topk K]\n"
                  "  [--seed S] [--threads T] [--report serve.jsonl]\n"
-                 "  [--access-log access.jsonl] [--require-zero-alloc 0|1]\n"
+                 "  [--require-zero-alloc 0|1]\n"
                  "docs: docs/SERVING.md, docs/BENCHMARKS.md\n");
     return 2;
   }
@@ -251,18 +124,8 @@ int main(int argc, char** argv) {
   tgcrn::data::StandardScaler scaler;
   scaler.Fit(history, history.size(0));
 
-  tgcrn::serve::SessionConfig session_config;
-  session_config.batch_max = args.batch_max;
-  tgcrn::serve::InferenceSession session(&model, scaler, session_config);
-
-  // --access-log routes the measured phase through the real telemetry
-  // sink (synthesized traces; see the header comment).
-  std::unique_ptr<tgcrn::serve::ServeTelemetry> telemetry;
-  if (!args.access_log_path.empty()) {
-    tgcrn::serve::TelemetryConfig tconfig;
-    tconfig.access_log_path = args.access_log_path;
-    telemetry.reset(new tgcrn::serve::ServeTelemetry(tconfig, &session));
-  }
+  tgcrn::serve::InferenceSession session(&model, scaler,
+                                         tgcrn::serve::SessionConfig{});
 
   tgcrn::Rng load_rng(args.seed + 1);
   const double per_entity_rate = args.rate / static_cast<double>(args.entities);
@@ -322,16 +185,6 @@ int main(int argc, char** argv) {
   auto* latency =
       tgcrn::obs::Registry::Global().GetHistogram("serve.request_us");
   latency->Reset();
-  if (telemetry) {
-    // Stage histograms are cumulative; reset so the reported stage p50s
-    // cover only the measured phase (mirroring the latency reset above).
-    for (int s = 0; s < tgcrn::serve::kServeStageCount; ++s) {
-      tgcrn::obs::Registry::Global()
-          .GetHistogram(std::string("serve.stage_") +
-                        tgcrn::serve::ServeStageName(s) + "_us")
-          ->Reset();
-    }
-  }
   const int64_t allocs_before = alloc_counter->Value();
   const auto wall_start = std::chrono::steady_clock::now();
 
@@ -364,34 +217,11 @@ int main(int argc, char** argv) {
       ++client.sent;
     }
     const auto round_start = std::chrono::steady_clock::now();
-    const int64_t round_start_ns = tgcrn::obs::internal::TraceNowNs();
-    if (!observes.empty()) {
-      const tgcrn::serve::InferenceSession::ObserveResult result =
-          session.Observe(observes);
-      if (telemetry) {
-        for (size_t k = 0; k < observes.size(); ++k) {
-          tgcrn::serve::RequestTrace trace = SynthesizeTrace(
-              telemetry->NextRequestId(), tgcrn::serve::kOpObserve,
-              round_start_ns,
-              session.wave_timings()[result.wave_index[k]]);
-          telemetry->RecordRequest(&trace);
-        }
-      }
-    }
+    if (!observes.empty()) session.Observe(observes);
     if (!forecasts.empty()) {
       tgcrn::Tensor out;
       std::vector<int64_t> steps;
       session.Forecast(forecasts, &out, &steps);
-      if (telemetry) {
-        for (size_t k = 0; k < forecasts.size(); ++k) {
-          // Forecast waves are contiguous chunks of batch_max rows.
-          const size_t ordinal = k / static_cast<size_t>(args.batch_max);
-          tgcrn::serve::RequestTrace trace = SynthesizeTrace(
-              telemetry->NextRequestId(), tgcrn::serve::kOpForecast,
-              round_start_ns, session.wave_timings()[ordinal]);
-          telemetry->RecordRequest(&trace);
-        }
-      }
     }
     const double round_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -424,20 +254,6 @@ int main(int argc, char** argv) {
   std::printf("  throughput %.1f req/s, steady-state tensor allocations: "
               "%lld\n",
               qps, static_cast<long long>(alloc_delta));
-  if (telemetry) {
-    std::printf("  stage p50/p99 us:");
-    for (int s = 0; s < tgcrn::serve::kServeStageCount; ++s) {
-      const char* name = tgcrn::serve::ServeStageName(s);
-      const tgcrn::obs::HistogramSnapshot snap =
-          tgcrn::obs::Registry::Global()
-              .GetHistogram(std::string("serve.stage_") + name + "_us")
-              ->Snapshot();
-      std::printf("  %s %lld/%lld", name,
-                  static_cast<long long>(snap.ApproxQuantile(0.5)),
-                  static_cast<long long>(snap.ApproxQuantile(0.99)));
-    }
-    std::printf("\n");
-  }
 
   if (!args.report_path.empty()) {
     tgcrn::obs::EpochReport epoch;
@@ -446,19 +262,6 @@ int main(int argc, char** argv) {
     epoch.phase_seconds["serve_p50"] = p50_s;
     epoch.phase_seconds["serve_p99"] = p99_s;
     epoch.phase_seconds["serve_mean"] = mean_s;
-    if (telemetry) {
-      // Per-stage p50 columns (seconds, like every phase row) for the
-      // kernel-adjacent stages — report_diff gates them in CI the same
-      // way it gates serve_p50.
-      for (const char* name : {"gather", "kernel", "scatter"}) {
-        const tgcrn::obs::HistogramSnapshot snap =
-            tgcrn::obs::Registry::Global()
-                .GetHistogram(std::string("serve.stage_") + name + "_us")
-                ->Snapshot();
-        epoch.phase_seconds[std::string("stage_") + name + "_p50"] =
-            static_cast<double>(snap.ApproxQuantile(0.5)) / 1e6;
-      }
-    }
     if (tgcrn::obs::ProfilingEnabled()) {
       epoch.has_prof = true;
       epoch.prof = tgcrn::obs::CollectProfReport();
@@ -481,19 +284,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("  report written to %s\n", args.report_path.c_str());
-  }
-
-  if (telemetry) {
-    telemetry.reset();  // flushes and closes the access log
-    const int violations = ValidateAccessLog(args.access_log_path, served);
-    if (violations > 0) {
-      std::fprintf(stderr, "FAIL: %d access-log violation(s)\n", violations);
-      return 1;
-    }
-    std::printf(
-        "  access log %s validated: %lld requests exactly once, monotone "
-        "stage offsets\n",
-        args.access_log_path.c_str(), static_cast<long long>(served));
   }
 
   if (args.require_zero_alloc != 0 && alloc_delta != 0) {

@@ -4,7 +4,7 @@
 // whole string is one in-range number of the destination type — "12abc",
 // "", " 5", "abc" and overflow all fail, where std::sto* would throw or
 // silently accept a prefix. EnvIntOrDie applies the same rule to integer
-// environment variables.
+// environment variables, EnvBoolOrDie to 0/1 switches.
 #ifndef TGCRN_COMMON_FLAGS_H_
 #define TGCRN_COMMON_FLAGS_H_
 
@@ -79,6 +79,16 @@ T EnvIntOrDie(const char* name, const char* value, T fallback,
       << name << "=\"" << value << "\" is outside [" << lo << ", " << hi
       << "]";
   return parsed;
+}
+
+// `value`, the contents of the boolean environment variable `name`:
+// `fallback` when unset or empty, false for "0", true for "1". Anything
+// else ("false", "off", "yes", "2") aborts, naming the variable.
+inline bool EnvBoolOrDie(const char* name, const char* value, bool fallback) {
+  if (value == nullptr || *value == '\0') return fallback;
+  TGCRN_CHECK(std::strcmp(value, "0") == 0 || std::strcmp(value, "1") == 0)
+      << name << "=\"" << value << "\" is not 0 or 1";
+  return value[0] == '1';
 }
 
 }  // namespace tgcrn

@@ -179,7 +179,7 @@ TrainResult TrainAndEvaluate(ForecastModel* model,
       const bool sampling_activations =
           health_monitor.enabled() && batch_index == 0;
       if (sampling_activations) {
-        health_monitor.BeginActivationSampling(global_step);
+        health_monitor.BeginActivationSampling();
       }
       {
         PhaseTimer timer(&epoch_report.phase_seconds, obs::kPhaseForward);
@@ -243,7 +243,7 @@ TrainResult TrainAndEvaluate(ForecastModel* model,
       PhaseTimer timer(&epoch_report.phase_seconds, obs::kPhaseHealth);
       TGCRN_TRACE_SCOPE("train.health");
       epoch_report.has_health = true;
-      health_monitor.CollectInto(global_step, &epoch_report.health);
+      health_monitor.CollectInto(&epoch_report.health);
       if (!batches.empty()) {
         // Learned-graph diagnostics on a deterministic sample: the epoch's
         // first training batch.

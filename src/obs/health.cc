@@ -5,10 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
-#include "common/check.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "nn/module.h"
@@ -123,12 +122,8 @@ void MergeStats(TensorStatsReport* into, const TensorStatsReport& other) {
 
 HealthOptions HealthOptions::FromEnv() {
   HealthOptions options;
-  if (const char* v = std::getenv("TGCRN_HEALTH")) {
-    options.enabled = v[0] != '\0' && std::strcmp(v, "0") != 0;
-  }
-  if (const char* v = std::getenv("TGCRN_HEALTH_FATAL")) {
-    options.fatal = v[0] != '\0' && std::strcmp(v, "0") != 0;
-  }
+  options.enabled = EnvBoolOrDie("TGCRN_HEALTH", std::getenv("TGCRN_HEALTH"),
+                                 options.enabled);
   return options;
 }
 
@@ -182,11 +177,6 @@ void HealthMonitor::HandleNonFiniteGradients(int64_t step) {
     if (!param.has_grad()) continue;
     const TensorStatsReport stats = ComputeTensorStats(param.grad());
     if (!stats.HasNonFinite()) continue;
-    if (options_.fatal) {
-      TGCRN_CHECK(false) << "non-finite gradient in module '" << name
-                         << "' at step " << step << ": "
-                         << DescribeTensorStats(stats);
-    }
     if (non_finite_logged_ < 5) {
       ++non_finite_logged_;
       TGCRN_LOG(Warning) << "non-finite gradient in module '" << name
@@ -196,15 +186,11 @@ void HealthMonitor::HandleNonFiniteGradients(int64_t step) {
     return;
   }
   // The global norm was non-finite but no single gradient shows it (the
-  // squared sum overflowed); still counted, and fatal still stops here.
-  if (options_.fatal) {
-    TGCRN_CHECK(false) << "non-finite gradient norm at step " << step;
-  }
+  // squared sum overflowed); still counted.
 }
 
-void HealthMonitor::BeginActivationSampling(int64_t step) {
+void HealthMonitor::BeginActivationSampling() {
   if (!options_.enabled) return;
-  sampling_step_ = step;
   internal::g_sampling_monitor.store(this, std::memory_order_relaxed);
 }
 
@@ -216,17 +202,13 @@ void HealthMonitor::EndActivationSampling() {
 
 void HealthMonitor::Observe(const char* name, const Tensor& t) {
   const TensorStatsReport stats = ComputeTensorStats(t);
-  if (options_.fatal && stats.HasNonFinite()) {
-    TGCRN_CHECK(false) << "non-finite activation '" << name << "' at step "
-                       << sampling_step_ << ": " << DescribeTensorStats(stats);
-  }
   std::lock_guard<std::mutex> lock(activation_mu_);
   ActivationAccum& accum = activations_[name];
   MergeStats(&accum.merged, stats);
   ++accum.samples;
 }
 
-void HealthMonitor::CollectInto(int64_t step, HealthReport* out) {
+void HealthMonitor::CollectInto(HealthReport* out) {
   out->non_finite_steps = non_finite_steps_;
   non_finite_steps_ = 0;
   non_finite_logged_ = 0;
@@ -238,11 +220,6 @@ void HealthMonitor::CollectInto(int64_t step, HealthReport* out) {
     module_report.param = ComputeTensorStats(param.value());
     if (param.has_grad()) {
       module_report.grad = ComputeTensorStats(param.grad());
-    }
-    if (options_.fatal && module_report.param.HasNonFinite()) {
-      TGCRN_CHECK(false) << "non-finite parameter in module '" << name
-                         << "' at step " << step << ": "
-                         << DescribeTensorStats(module_report.param);
     }
     out->modules.push_back(std::move(module_report));
   }

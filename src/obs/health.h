@@ -16,10 +16,11 @@
 //    costs one relaxed atomic load and a branch (the same contract as
 //    TGCRN_TRACE_SCOPE); the trainer opens the window for the first batch
 //    of each epoch.
-//  * Fail-fast sentinel — with `fatal` set (TGCRN_HEALTH_FATAL=1), the
-//    first non-finite value in a gradient or parameter aborts via
-//    TGCRN_CHECK with the offending module name, global step, and tensor
-//    stats — instead of surfacing as a silently bad val_mae epochs later.
+//  * Non-finite sentinel — a non-finite gradient norm logs the first
+//    offending module, the global step and its tensor stats, and counts
+//    the step in non_finite_steps (tgcrn_report_diff gates on any
+//    increase) instead of surfacing as a silently bad val_mae epochs
+//    later.
 //
 // Statistic reductions use fixed-size chunking with a thread-count-
 // independent combine order (the DeterministicChunkedSum contract), so
@@ -49,11 +50,9 @@ class Module;
 namespace obs {
 
 // Runtime knobs, defaulted from the environment by the trainer:
-//   TGCRN_HEALTH=1        enable collection (stats every epoch)
-//   TGCRN_HEALTH_FATAL=1  abort on the first non-finite gradient/parameter
+//   TGCRN_HEALTH=1  enable collection (stats every epoch); 0, 1 or unset
 struct HealthOptions {
   bool enabled = false;
-  bool fatal = false;
 
   static HealthOptions FromEnv();
 };
@@ -75,7 +74,6 @@ class HealthMonitor {
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
   bool enabled() const { return options_.enabled; }
-  bool fatal() const { return options_.fatal; }
 
   // Caches the module's named parameters (one vector build, so per-step
   // sentinel scans allocate nothing). Call once before training.
@@ -83,25 +81,23 @@ class HealthMonitor {
 
   // Sentinel entry point: the trainer calls this when the global gradient
   // norm comes back non-finite (NaN propagates through the clip reduction,
-  // so the check itself is free). Locates the first offending parameter;
-  // aborts with module/step/stats when fatal, else logs and counts.
+  // so the check itself is free). Counts the step and logs the first
+  // offending parameter with its module, step and stats.
   void HandleNonFiniteGradients(int64_t step);
 
   // Opens/closes the activation sampling window for TGCRN_HEALTH_TAP.
   // Only one monitor can sample at a time (process-global tap target).
-  void BeginActivationSampling(int64_t step);
+  void BeginActivationSampling();
   void EndActivationSampling();
 
   // Records one observation of a tapped activation. `name` must be a
-  // string literal (only the pointer is compared/stored). When fatal,
-  // aborts on the first non-finite activation value.
+  // string literal (only the pointer is compared/stored).
   void Observe(const char* name, const Tensor& t);
 
   // Fills `out` with per-module parameter/gradient statistics and the
   // accumulated activation statistics, then resets the accumulators and
-  // the non-finite step count (so each report covers one interval). When
-  // fatal, aborts if any parameter value is non-finite.
-  void CollectInto(int64_t step, HealthReport* out);
+  // the non-finite step count (so each report covers one interval).
+  void CollectInto(HealthReport* out);
 
   int64_t non_finite_steps() const { return non_finite_steps_; }
 
@@ -117,7 +113,6 @@ class HealthMonitor {
   std::map<std::string, ActivationAccum> activations_;
   int64_t non_finite_steps_ = 0;
   int64_t non_finite_logged_ = 0;
-  int64_t sampling_step_ = -1;
 };
 
 namespace internal {

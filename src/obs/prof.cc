@@ -13,10 +13,12 @@
 #include <utility>
 #include <vector>
 
-// The one dependency outside obs/ + std: the leaf header resolving which
+// The dependencies outside obs/ + std: the leaf header resolving which
 // SIMD kernel table is live, so every profile is stamped with the ISA it
-// measured (scalar vs avx2 rooflines are different machines).
+// measured (scalar vs avx2 rooflines are different machines), and the
+// strict env-switch parser.
 #include "common/cpu_features.h"
+#include "common/flags.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -433,9 +435,9 @@ ProfOptions ProfOptions::FromEnv() {
       if (!(value[0] == '1' && value[1] == '\0')) options.path = value;
     }
   }
-  if (const char* value = std::getenv("TGCRN_PROF_COUNTERS")) {
-    if (value[0] == '0' && value[1] == '\0') options.counters = false;
-  }
+  options.counters = EnvBoolOrDie("TGCRN_PROF_COUNTERS",
+                                  std::getenv("TGCRN_PROF_COUNTERS"),
+                                  options.counters);
   return options;
 }
 

@@ -84,7 +84,7 @@ bool WriteProfileFile(const std::string& path);
 
 // TGCRN_CHECK abort path (called from FlushObservabilityOnAbort): if the
 // profiler was armed with a file path, write the profile file so an
-// aborted run (e.g. TGCRN_HEALTH_FATAL) leaves a cost snapshot behind.
+// aborted run (any failed TGCRN_CHECK) leaves a cost snapshot behind.
 // No-op when not armed or no path was configured.
 void DumpProfileOnAbort();
 

@@ -498,9 +498,8 @@ void Server::Dispatch(std::vector<Request>* requests) {
                              static_cast<int64_t>(warm_index) * mc.horizon *
                                  mc.num_nodes * mc.output_dim;
           if (tracing_) {
-            // Forecast waves are contiguous chunks of batch_max rows.
-            const size_t ordinal =
-                warm_index / static_cast<size_t>(session_->config().batch_max);
+            // Forecast waves are contiguous chunks of kWaveMax rows.
+            const size_t ordinal = warm_index / static_cast<size_t>(kWaveMax);
             const WaveTiming& wave = session_->wave_timings()[ordinal];
             r.trace.entity_count = 1;
             r.trace.batch_width = static_cast<int32_t>(wave.active);

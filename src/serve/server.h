@@ -8,9 +8,9 @@
 // handed to the InferenceSession in arrival order — consecutive runs of
 // the same op form one batched call, which is where micro-batching
 // happens (the session splits runs into kernel waves of at most
-// TGCRN_SERVE_BATCH_MAX). Single-threading keeps the zero-alloc steady
-// state trivially sound (one wave in flight) while the batched kernels
-// still use the global thread pool for intra-wave parallelism. Sockets
+// kWaveMax rows). Single-threading keeps the zero-alloc steady state
+// trivially sound (one wave in flight) while the batched kernels still
+// use the global thread pool for intra-wave parallelism. Sockets
 // are non-blocking: responses a peer is slow to read are buffered per
 // connection (bounded) and flushed on POLLOUT, so one stalled client
 // cannot wedge the loop for everyone else.

@@ -46,7 +46,7 @@ ServeMetrics& Metrics() {
 }
 
 // Wave batch width for `active` samples: the next power of two, so steady
-// state cycles through O(log batch_max) tensor shapes (maximizing pool
+// state cycles through O(log kWaveMax) tensor shapes (maximizing pool
 // hits). Padding rows are zeros, and per-sample independence of the eval
 // path makes them bitwise-invisible to active rows.
 int64_t WaveWidth(int64_t active) {
@@ -59,9 +59,6 @@ int64_t WaveWidth(int64_t active) {
 
 SessionConfig SessionConfig::FromEnv() {
   SessionConfig config;
-  config.batch_max = EnvIntOrDie<int64_t>(
-      "TGCRN_SERVE_BATCH_MAX", std::getenv("TGCRN_SERVE_BATCH_MAX"),
-      config.batch_max, 1);
   config.max_entities = EnvIntOrDie<int64_t>(
       "TGCRN_SERVE_MAX_ENTITIES", std::getenv("TGCRN_SERVE_MAX_ENTITIES"),
       config.max_entities, 1);
@@ -73,7 +70,6 @@ InferenceSession::InferenceSession(core::TGCRN* model,
                                    SessionConfig config)
     : model_(model), scaler_(std::move(scaler)), config_(config) {
   TGCRN_CHECK(model_ != nullptr);
-  TGCRN_CHECK(config_.batch_max > 0);
   TGCRN_CHECK(config_.max_entities > 0);
   model_->SetTraining(false);
   model_->SetTeacherForcingProbability(0.0f);
@@ -225,7 +221,7 @@ InferenceSession::ObserveResult InferenceSession::Observe(
   // from the LRU scan, so one batch can never evict an entity it is
   // about to step; capping a wave at max_entities distinct entities
   // keeps that shield satisfiable even for batches wider than the cache.
-  const int64_t wave_cap = std::min(config_.batch_max, config_.max_entities);
+  const int64_t wave_cap = std::min(kWaveMax, config_.max_entities);
   std::vector<size_t> wave;
   std::unordered_set<std::string> in_wave;
   auto flush = [&]() {
@@ -333,9 +329,9 @@ void InferenceSession::Forecast(const std::vector<std::string>& entities,
   *out = Tensor::ForOverwrite({static_cast<int64_t>(entities.size()),
                                mc.horizon, mc.num_nodes, mc.output_dim});
   for (size_t begin = 0; begin < entities.size();
-       begin += static_cast<size_t>(config_.batch_max)) {
-    const size_t end = std::min(
-        entities.size(), begin + static_cast<size_t>(config_.batch_max));
+       begin += static_cast<size_t>(kWaveMax)) {
+    const size_t end =
+        std::min(entities.size(), begin + static_cast<size_t>(kWaveMax));
     ForecastWave(entities, begin, end, out);
   }
 }

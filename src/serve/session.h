@@ -39,11 +39,12 @@
 namespace tgcrn {
 namespace serve {
 
-// Runtime knobs, each overridable by a TGCRN_SERVE_* env var
-// (documented in docs/API.md and docs/SERVING.md).
+// Largest micro-batch (wave) handed to the batched kernels.
+inline constexpr int64_t kWaveMax = 32;
+
+// The deployment setting, overridable by its env var (documented in
+// docs/API.md and docs/SERVING.md).
 struct SessionConfig {
-  // Largest micro-batch (wave) handed to the batched kernels.
-  int64_t batch_max = 32;  // TGCRN_SERVE_BATCH_MAX
   // Entity cache capacity; admitting one more evicts the least recently
   // used entity (serve.evictions counts them).
   int64_t max_entities = 4096;  // TGCRN_SERVE_MAX_ENTITIES
@@ -91,7 +92,7 @@ class InferenceSession {
   // entities are created (their first steps are the warm-up — allocations
   // during warm-up are expected; steady state is allocation-free).
   // Observations are chunked into waves of at most
-  // min(batch_max, max_entities) *distinct* entities; repeats of an
+  // min(kWaveMax, max_entities) *distinct* entities; repeats of an
   // entity land in later waves in input order. A wave's own entities are
   // never LRU victims, so an arbitrarily wide batch is served by
   // chunking instead of evicting in-flight state. CHECK-fails on a
@@ -117,7 +118,7 @@ class InferenceSession {
   // Stage timings of the waves run by the most recent Observe/Forecast
   // call (cleared at each call's entry; storage capacity is retained so
   // steady state does not allocate). Forecast waves are contiguous
-  // batch_max-sized chunks: row i of a Forecast ran in wave i/batch_max.
+  // kWaveMax-sized chunks: row i of a Forecast ran in wave i/kWaveMax.
   const std::vector<WaveTiming>& wave_timings() const {
     return wave_timings_;
   }
@@ -133,7 +134,6 @@ class InferenceSession {
 
   const core::TGCRNConfig& model_config() const { return model_->config(); }
   const data::StandardScaler& scaler() const { return scaler_; }
-  const SessionConfig& config() const { return config_; }
 
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;

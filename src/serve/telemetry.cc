@@ -55,19 +55,12 @@ TelemetryConfig TelemetryConfig::FromEnv() {
   config.slow_us = EnvIntOrDie<int64_t>(
       "TGCRN_SERVE_SLOW_US", std::getenv("TGCRN_SERVE_SLOW_US"),
       config.slow_us, 0);
-  config.drift_every = EnvIntOrDie<int64_t>(
-      "TGCRN_SERVE_DRIFT_EVERY", std::getenv("TGCRN_SERVE_DRIFT_EVERY"),
-      config.drift_every, 0);
   return config;
 }
 
 // ------------------------------------------------------- DriftMonitor --
 
-DriftMonitor::DriftMonitor(InferenceSession* session,
-                           const TelemetryConfig& config)
-    : session_(session),
-      drift_every_(config.drift_every),
-      max_tracked_(config.drift_max_entities) {
+DriftMonitor::DriftMonitor(InferenceSession* session) : session_(session) {
   const core::TGCRNConfig& mc = session_->model_config();
   q_ = mc.horizon;
   n_ = mc.num_nodes;
@@ -84,7 +77,7 @@ void DriftMonitor::RecordForecast(const std::string& entity, int64_t steps,
                                   const float* grid) {
   auto it = pending_.find(entity);
   if (it == pending_.end()) {
-    if (static_cast<int64_t>(pending_.size()) >= max_tracked_) return;
+    if (static_cast<int64_t>(pending_.size()) >= kDriftMaxEntities) return;
     it = pending_.emplace(entity, PendingForecast{}).first;
   }
   PendingForecast& pending = it->second;
@@ -139,7 +132,7 @@ void DriftMonitor::RecordObservation(const std::string& entity,
 }
 
 bool DriftMonitor::BlockDue() const {
-  return drift_every_ > 0 && window_matched_ >= drift_every_;
+  return window_matched_ >= kDriftEvery;
 }
 
 obs::Json DriftMonitor::Block() {
@@ -197,8 +190,8 @@ ServeTelemetry::ServeTelemetry(TelemetryConfig config,
                                InferenceSession* session)
     : config_(std::move(config)),
       armed_(config_.armed()),
-      slow_(static_cast<int>(config_.slow_capacity)),
-      drift_(session, config_) {
+      slow_(kSlowCapacity),
+      drift_(session) {
   for (int s = 0; s < kServeStageCount; ++s) {
     stage_hist_[s] = obs::Registry::Global().GetHistogram(
         std::string("serve.stage_") + kStageNames[s] + "_us");

@@ -8,8 +8,7 @@
 //        -> serialize -> flush
 //
 //  * per-stage log2 histograms in the metric registry
-//    (serve.stage_<name>_us), summarized by the extended `stats` op and
-//    the tgcrn_serve_stats CLI;
+//    (serve.stage_<name>_us), summarized by the extended `stats` op;
 //  * a structured JSONL access log (TGCRN_SERVE_ACCESS_LOG=<path>), one
 //    line per request, plus a bounded slow-request exemplar ring
 //    (requests over TGCRN_SERVE_SLOW_US µs) retrievable via
@@ -156,14 +155,17 @@ enum ServeOp {
 };
 const char* ServeOpName(int op);
 
+// Matched residual observations per drift block (a final block is also
+// emitted at flush/shutdown).
+inline constexpr int64_t kDriftEvery = 256;
+// Slow-request exemplar ring size.
+inline constexpr int kSlowCapacity = 64;
+// Entities whose latest forecast the drift monitor keeps for matching.
+inline constexpr int64_t kDriftMaxEntities = 1024;
+
 struct TelemetryConfig {
   std::string access_log_path;  // TGCRN_SERVE_ACCESS_LOG ("" = off)
   int64_t slow_us = 0;          // TGCRN_SERVE_SLOW_US (0 = off)
-  // Matched residual observations per drift block; 0 emits only at
-  // flush/shutdown. TGCRN_SERVE_DRIFT_EVERY.
-  int64_t drift_every = 256;
-  int64_t slow_capacity = 64;       // exemplar ring size
-  int64_t drift_max_entities = 1024;  // pending-forecast tracking bound
 
   static TelemetryConfig FromEnv();
   bool armed() const { return !access_log_path.empty() || slow_us > 0; }
@@ -180,7 +182,7 @@ struct TelemetryConfig {
 // runs the graph-health probe, which is not.
 class DriftMonitor {
  public:
-  DriftMonitor(InferenceSession* session, const TelemetryConfig& config);
+  explicit DriftMonitor(InferenceSession* session);
 
   // `grid` is the raw [Q, N, d] forecast row; `steps` the entity's
   // encoder step count when it was made.
@@ -191,7 +193,7 @@ class DriftMonitor {
   void RecordObservation(const std::string& entity, int64_t steps,
                          int64_t slot, const float* values);
 
-  // True once the window holds drift_every matched observations.
+  // True once the window holds kDriftEvery matched observations.
   bool BlockDue() const;
   bool HasData() const { return total_observations_ > 0; }
   // Builds the {"type":"drift", ...} block (per-horizon MAE/RMSE,
@@ -206,8 +208,6 @@ class DriftMonitor {
   };
 
   InferenceSession* session_;
-  int64_t drift_every_;
-  int64_t max_tracked_;
   int64_t q_, n_, d_;
   std::unordered_map<std::string, PendingForecast> pending_;
   // Window accumulators, index = horizon - 1.
@@ -227,7 +227,7 @@ class DriftMonitor {
   int64_t probe_prev_slot_ = 0, probe_last_slot_ = 0;
 };
 
-// The telemetry sink bundle the server (and bench_serve) records into.
+// The telemetry sink bundle the server records into.
 // Single-threaded like the serving loop. At most one armed instance per
 // process (it owns the RpcTracingArmed flag and the observability
 // flush hook that makes SIGTERM'd servers leave a complete access log).

@@ -148,6 +148,21 @@ TEST(EnvIntOrDieDeathTest, RejectsPartialAndOutOfRangeValues) {
                "KNOB=\"11\" is outside \\[1, 10\\]");
 }
 
+TEST(EnvBoolOrDieTest, UnsetOrEmptyIsFallbackAndZeroOneAreExact) {
+  EXPECT_TRUE(EnvBoolOrDie("X", nullptr, true));
+  EXPECT_FALSE(EnvBoolOrDie("X", "", false));
+  EXPECT_FALSE(EnvBoolOrDie("X", "0", true));
+  EXPECT_TRUE(EnvBoolOrDie("X", "1", false));
+}
+
+TEST(EnvBoolOrDieDeathTest, RejectsAnythingButZeroOrOne) {
+  for (const char* bad : {"false", "true", "off", "on", "yes", "2", "01"}) {
+    EXPECT_DEATH((void)EnvBoolOrDie("KNOB", bad, false),
+                 "KNOB=\".*\" is not 0 or 1")
+        << bad;
+  }
+}
+
 TEST(RngTest, DeterministicStreams) {
   Rng a(123), b(123), c(124);
   for (int i = 0; i < 100; ++i) {

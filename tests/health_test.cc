@@ -1,6 +1,6 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Tests of the training-health monitor: deterministic tensor statistics,
-// env-var option parsing, the non-finite sentinel (fatal and logging
+// env-var option parsing, the non-finite sentinel (counting and logging
 // modes), activation taps, learned-graph diagnostics, and the health block
 // a real 2-epoch train embeds in its JSONL report — plus the guarantee
 // that an enabled monitor never changes the training result.
@@ -106,31 +106,40 @@ TEST(TensorStatsTest, DescribeMentionsEveryField) {
 
 TEST(HealthOptionsTest, FromEnvParsesAllKnobs) {
   unsetenv("TGCRN_HEALTH");
-  unsetenv("TGCRN_HEALTH_FATAL");
-  obs::HealthOptions off = obs::HealthOptions::FromEnv();
-  EXPECT_FALSE(off.enabled);
-  EXPECT_FALSE(off.fatal);
+  EXPECT_FALSE(obs::HealthOptions::FromEnv().enabled);
+
+  setenv("TGCRN_HEALTH", "", 1);
+  EXPECT_FALSE(obs::HealthOptions::FromEnv().enabled);
 
   setenv("TGCRN_HEALTH", "1", 1);
-  setenv("TGCRN_HEALTH_FATAL", "1", 1);
-  obs::HealthOptions on = obs::HealthOptions::FromEnv();
-  EXPECT_TRUE(on.enabled);
-  EXPECT_TRUE(on.fatal);
+  EXPECT_TRUE(obs::HealthOptions::FromEnv().enabled);
 
   setenv("TGCRN_HEALTH", "0", 1);
-  setenv("TGCRN_HEALTH_FATAL", "0", 1);
-  obs::HealthOptions zeros = obs::HealthOptions::FromEnv();
-  EXPECT_FALSE(zeros.enabled);
-  EXPECT_FALSE(zeros.fatal);
+  EXPECT_FALSE(obs::HealthOptions::FromEnv().enabled);
 
   unsetenv("TGCRN_HEALTH");
-  unsetenv("TGCRN_HEALTH_FATAL");
+}
+
+// TGCRN_HEALTH is 0 or 1: a word such as "false" must not switch the
+// monitor on.
+TEST(HealthOptionsDeathTest, NonBinaryValueAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* value : {"false", "off", "no", "yes", "2", " 1"}) {
+    EXPECT_DEATH(
+        {
+          setenv("TGCRN_HEALTH", value, 1);
+          obs::HealthOptions::FromEnv();
+        },
+        "TGCRN_HEALTH=.* is not 0 or 1")
+        << value;
+  }
+  unsetenv("TGCRN_HEALTH");
 }
 
 TEST(HealthMonitorTest, DisabledMonitorNeverOpensSamplingWindow) {
   obs::HealthMonitor disabled((obs::HealthOptions()));
   EXPECT_FALSE(disabled.enabled());
-  disabled.BeginActivationSampling(0);
+  disabled.BeginActivationSampling();
   EXPECT_FALSE(obs::HealthSamplingActive());
 }
 
@@ -177,44 +186,6 @@ data::ForecastDataset* HealthTrainFixture::dataset_ = nullptr;
 
 // ----------------------------------------------------------- Sentinel --
 
-TEST_F(HealthTrainFixture, FatalSentinelNamesModuleAndStep) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  obs::HealthOptions options;
-  options.enabled = true;
-  options.fatal = true;
-  EXPECT_DEATH(
-      {
-        Rng rng(21);
-        core::TGCRN model(SmallModelConfig(), &rng);
-        obs::HealthMonitor monitor(options);
-        monitor.Attach(model);
-        auto params = model.NamedParameters();
-        params.front().second.node()->AccumulateGrad(
-            Tensor::Full(params.front().second.shape(), kNaN));
-        monitor.HandleNonFiniteGradients(7);
-      },
-      "non-finite gradient in module '.*' at step 7");
-}
-
-TEST_F(HealthTrainFixture, FatalCollectAbortsOnNonFiniteParameter) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  obs::HealthOptions options;
-  options.enabled = true;
-  options.fatal = true;
-  EXPECT_DEATH(
-      {
-        Rng rng(22);
-        core::TGCRN model(SmallModelConfig(), &rng);
-        obs::HealthMonitor monitor(options);
-        monitor.Attach(model);
-        auto params = model.NamedParameters();
-        params.front().second.mutable_value().mutable_data()[0] = kNaN;
-        obs::HealthReport report;
-        monitor.CollectInto(3, &report);
-      },
-      "non-finite parameter in module");
-}
-
 TEST_F(HealthTrainFixture, NonFatalSentinelCountsAndReports) {
   Rng rng(23);
   core::TGCRN model(SmallModelConfig(), &rng);
@@ -230,7 +201,7 @@ TEST_F(HealthTrainFixture, NonFatalSentinelCountsAndReports) {
   EXPECT_EQ(monitor.non_finite_steps(), 2);
 
   obs::HealthReport report;
-  monitor.CollectInto(2, &report);
+  monitor.CollectInto(&report);
   EXPECT_EQ(report.non_finite_steps, 2);
   ASSERT_EQ(report.modules.size(), params.size());
   // The poisoned gradient shows up in the per-module stats.
@@ -254,7 +225,7 @@ TEST_F(HealthTrainFixture, ActivationTapsObserveOnlyInsideWindow) {
   ASSERT_FALSE(obs::HealthSamplingActive());
   TGCRN_HEALTH_TAP("test.tap", t);  // no window: dropped
 
-  monitor.BeginActivationSampling(11);
+  monitor.BeginActivationSampling();
   ASSERT_TRUE(obs::HealthSamplingActive());
   TGCRN_HEALTH_TAP("test.tap", t);
   TGCRN_HEALTH_TAP("test.tap", t);
@@ -263,7 +234,7 @@ TEST_F(HealthTrainFixture, ActivationTapsObserveOnlyInsideWindow) {
   TGCRN_HEALTH_TAP("test.tap", t);  // window closed again
 
   obs::HealthReport report;
-  monitor.CollectInto(11, &report);
+  monitor.CollectInto(&report);
   ASSERT_EQ(report.activations.size(), 1u);
   EXPECT_EQ(report.activations[0].name, "test.tap");
   EXPECT_EQ(report.activations[0].samples, 2);
@@ -272,7 +243,7 @@ TEST_F(HealthTrainFixture, ActivationTapsObserveOnlyInsideWindow) {
   EXPECT_DOUBLE_EQ(report.activations[0].stats.max, 4.0);
   // Accumulators were consumed by the collection.
   obs::HealthReport second;
-  monitor.CollectInto(12, &second);
+  monitor.CollectInto(&second);
   EXPECT_TRUE(second.activations.empty());
 }
 

@@ -99,7 +99,25 @@ TEST(ProfOptionsTest, FromEnvParsesOffOnAndPath) {
   EXPECT_EQ(with_path.path, "/tmp/run.prof.json");
   EXPECT_FALSE(with_path.counters);
 
+  setenv("TGCRN_PROF_COUNTERS", "1", 1);
+  EXPECT_TRUE(obs::ProfOptions::FromEnv().counters);
+
   unsetenv("TGCRN_PROF");
+  unsetenv("TGCRN_PROF_COUNTERS");
+}
+
+// TGCRN_PROF_COUNTERS is 0 or 1: "false" must not leave counters on.
+TEST(ProfOptionsDeathTest, NonBinaryCountersValueAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* value : {"false", "off", "no", "2"}) {
+    EXPECT_DEATH(
+        {
+          setenv("TGCRN_PROF_COUNTERS", value, 1);
+          obs::ProfOptions::FromEnv();
+        },
+        "TGCRN_PROF_COUNTERS=.* is not 0 or 1")
+        << value;
+  }
   unsetenv("TGCRN_PROF_COUNTERS");
 }
 

@@ -455,6 +455,47 @@ TEST_F(ServeServerTelemetryFixture, AccessLogRecordsEveryWireRequestOnce) {
   EXPECT_EQ(errors, 2);  // bad op + malformed line
 }
 
+// A run of pipelined forecasts is one batched Forecast call, split into
+// waves of kWaveMax rows; each traced request must carry the width of
+// the wave that served it.
+TEST_F(ServeServerTelemetryFixture, PipelinedForecastsCarryTheirWaveWidth) {
+  const int64_t count = serve::kWaveMax + 1;
+  {
+    Client client(server_->port());
+    for (const char* entity : {"a", "b", "c"}) {
+      ASSERT_TRUE(client.Call(ObserveLine(entity, 0))["ok"].AsBool());
+    }
+    // One write well under the server's 4 KiB read, so one poll round
+    // sees every line.
+    std::string burst;
+    for (int64_t i = 0; i < count; ++i) {
+      burst += std::string(R"({"op":"forecast","entity":")") + "abc"[i % 3] +
+               "\"}\n";
+    }
+    client.Send(burst);
+    for (int64_t i = 0; i < count; ++i) {
+      const obs::Json reply = client.ReadLine();
+      ASSERT_TRUE(reply["ok"].AsBool()) << reply.Dump();
+    }
+  }
+  Shutdown();
+
+  std::map<int64_t, int64_t> batch_by_id;  // request id -> wave width
+  for (const obs::Json& entry : ReadLogLines()) {
+    if (entry.GetString("type") == "request" &&
+        entry.GetString("op") == "forecast") {
+      batch_by_id[entry.GetInt("id")] = entry.GetInt("batch");
+    }
+  }
+  ASSERT_EQ(static_cast<int64_t>(batch_by_id.size()), count);
+  int64_t i = 0;
+  for (const auto& [id, batch] : batch_by_id) {
+    EXPECT_EQ(batch, i < serve::kWaveMax ? serve::kWaveMax : 1)
+        << "forecast " << i << " (id " << id << ")";
+    ++i;
+  }
+}
+
 TEST_F(ServeServerTelemetryFixture, StatsExposeStagesCacheAndSlowView) {
   Client client(server_->port());
   for (int64_t t = 0; t < 3; ++t) {

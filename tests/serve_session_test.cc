@@ -334,15 +334,13 @@ TEST_F(ServeSessionFixture, CacheCountersTrackAdmitHitEvictAndWaveShield) {
 TEST_F(ServeSessionFixture, WaveTimingsCoverEveryObservationInOrder) {
   Rng rng(12);
   core::TGCRN model(SmallConfig(), &rng);
-  serve::SessionConfig config;
-  config.batch_max = 2;
-  serve::InferenceSession session(&model, *scaler_, config);
+  serve::InferenceSession session(&model, *scaler_, serve::SessionConfig());
 
-  // Three distinct entities with batch_max 2: two waves, and every
+  // A repeated entity starts the next wave: two waves, and every
   // observation maps to the wave that actually served it.
   const auto result = session.Observe({ObservationAt("a", 0),
                                        ObservationAt("b", 0),
-                                       ObservationAt("c", 0)});
+                                       ObservationAt("a", 1)});
   ASSERT_EQ(result.wave_index.size(), 3u);
   ASSERT_EQ(session.wave_timings().size(), 2u);
   EXPECT_EQ(result.wave_index[0], 0);
@@ -358,12 +356,14 @@ TEST_F(ServeSessionFixture, WaveTimingsCoverEveryObservationInOrder) {
     EXPECT_LE(wave.kernel_end_ns, wave.scatter_end_ns);
   }
 
-  // Forecast replaces the timing list; rows chunk into batch_max waves.
+  // Forecast replaces the timing list; rows chunk into kWaveMax waves.
+  const std::vector<std::string> rows(
+      static_cast<size_t>(serve::kWaveMax) + 1, "a");
   Tensor out;
   std::vector<int64_t> steps;
-  session.Forecast({"a", "b", "c"}, &out, &steps);
+  session.Forecast(rows, &out, &steps);
   ASSERT_EQ(session.wave_timings().size(), 2u);
-  EXPECT_EQ(session.wave_timings()[0].active, 2);
+  EXPECT_EQ(session.wave_timings()[0].active, serve::kWaveMax);
   EXPECT_EQ(session.wave_timings()[1].active, 1);
 }
 
@@ -386,43 +386,39 @@ TEST_F(ServeSessionFixture, PoolFloorIsRestoredWhenTheSessionEnds) {
       << "a sub-256-element tensor bypassed the pool after the session";
 }
 
-// TGCRN_SERVE_BATCH_MAX and TGCRN_SERVE_MAX_ENTITIES are whole integers
-// >= 1, default when unset or empty. A partial, non-numeric or
-// non-positive value stops the process naming the variable; atoll used to
-// read "12abc" as 12 and turn "abc" and "-3" into the default.
+// TGCRN_SERVE_MAX_ENTITIES is a whole integer >= 1, default when unset
+// or empty. A partial, non-numeric or non-positive value stops the
+// process naming the variable; atoll used to read "12abc" as 12 and turn
+// "abc" and "-3" into the default.
 TEST(SessionConfigEnvTest, ValidValuesAreRead) {
-  setenv("TGCRN_SERVE_BATCH_MAX", "7", 1);
+  setenv("TGCRN_SERVE_MAX_ENTITIES", "7", 1);
+  EXPECT_EQ(serve::SessionConfig::FromEnv().max_entities, 7);
   setenv("TGCRN_SERVE_MAX_ENTITIES", "", 1);
-  const serve::SessionConfig config = serve::SessionConfig::FromEnv();
-  EXPECT_EQ(config.batch_max, 7);
-  EXPECT_EQ(config.max_entities, serve::SessionConfig().max_entities);
-  unsetenv("TGCRN_SERVE_BATCH_MAX");
+  EXPECT_EQ(serve::SessionConfig::FromEnv().max_entities,
+            serve::SessionConfig().max_entities);
   unsetenv("TGCRN_SERVE_MAX_ENTITIES");
-  EXPECT_EQ(serve::SessionConfig::FromEnv().batch_max,
-            serve::SessionConfig().batch_max);
+  EXPECT_EQ(serve::SessionConfig::FromEnv().max_entities,
+            serve::SessionConfig().max_entities);
 }
 
 TEST(SessionConfigEnvDeathTest, MalformedValuesAbort) {
-  for (const char* name :
-       {"TGCRN_SERVE_BATCH_MAX", "TGCRN_SERVE_MAX_ENTITIES"}) {
-    for (const char* bad : {"12abc", "abc", "1.5"}) {
-      EXPECT_DEATH(
-          {
-            setenv(name, bad, 1);
-            (void)serve::SessionConfig::FromEnv();
-          },
-          std::string(name) + "=\".*\" is not an integer")
-          << name << "=" << bad;
-    }
-    for (const char* bad : {"-3", "0"}) {
-      EXPECT_DEATH(
-          {
-            setenv(name, bad, 1);
-            (void)serve::SessionConfig::FromEnv();
-          },
-          std::string(name) + "=\".*\" is outside \\[1, ")
-          << name << "=" << bad;
-    }
+  for (const char* bad : {"12abc", "abc", "1.5"}) {
+    EXPECT_DEATH(
+        {
+          setenv("TGCRN_SERVE_MAX_ENTITIES", bad, 1);
+          (void)serve::SessionConfig::FromEnv();
+        },
+        "TGCRN_SERVE_MAX_ENTITIES=\".*\" is not an integer")
+        << bad;
+  }
+  for (const char* bad : {"-3", "0"}) {
+    EXPECT_DEATH(
+        {
+          setenv("TGCRN_SERVE_MAX_ENTITIES", bad, 1);
+          (void)serve::SessionConfig::FromEnv();
+        },
+        "TGCRN_SERVE_MAX_ENTITIES=\".*\" is outside \\[1, ")
+        << bad;
   }
 }
 

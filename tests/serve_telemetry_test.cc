@@ -213,29 +213,37 @@ TEST_F(ServeTelemetryFixture, SlowBufferKeepsExemplarsAndDumpsOnFlush) {
     serve::TelemetryConfig config;
     config.access_log_path = path;
     config.slow_us = 500;
-    config.slow_capacity = 2;
     serve::ServeTelemetry telemetry(config, session_);
-    // Two fast, three slow: the bounded buffer keeps the newest two.
-    for (int64_t total_us : {100, 200, 600, 700, 800}) {
+    // Two fast, then three more slow requests than the ring holds: the
+    // bounded buffer keeps the newest kSlowCapacity.
+    const int64_t slow_requests = serve::kSlowCapacity + 3;
+    std::vector<int64_t> totals = {100, 200};
+    for (int64_t i = 0; i < slow_requests; ++i) totals.push_back(600 + i);
+    for (int64_t total_us : totals) {
       serve::RequestTrace trace =
           MakeTrace(telemetry.NextRequestId(), total_us);
       telemetry.RecordRequest(&trace);
     }
-    EXPECT_EQ(telemetry.slow_count(), 3);
+    EXPECT_EQ(telemetry.slow_count(), slow_requests);
     const obs::Json slow = telemetry.SlowRequestsJson();
-    ASSERT_EQ(slow.size(), 2u);  // capacity-bounded, oldest evicted
-    EXPECT_GE(slow.at(0).GetInt("total_us"), 500);
-    EXPECT_GE(slow.at(1).GetInt("total_us"), slow.at(0).GetInt("total_us"));
-    // Stage histograms are global/cumulative; this run added 5 samples.
+    // Capacity-bounded, oldest evicted: the first retained is the fourth.
+    ASSERT_EQ(slow.size(), static_cast<size_t>(serve::kSlowCapacity));
+    EXPECT_EQ(slow.at(0).GetInt("total_us"), 603);
+    for (size_t i = 1; i < slow.size(); ++i) {
+      EXPECT_GT(slow.at(i).GetInt("total_us"),
+                slow.at(i - 1).GetInt("total_us"));
+    }
+    // Stage histograms are global/cumulative; this run added its samples.
     const obs::Json stages = telemetry.StageStatsJson();
-    EXPECT_GE(stages["kernel"].GetInt("count"), 5);
+    EXPECT_GE(stages["kernel"].GetInt("count"),
+              static_cast<int64_t>(totals.size()));
   }
   // The flush dumped the retained exemplars as {"type":"slow"} lines.
   int64_t slow_lines = 0;
   for (const obs::Json& entry : ReadLogLines(path)) {
     if (entry.GetString("type") == "slow") ++slow_lines;
   }
-  EXPECT_EQ(slow_lines, 2);
+  EXPECT_EQ(slow_lines, serve::kSlowCapacity);
   std::filesystem::remove(path);
 }
 
@@ -270,9 +278,7 @@ TEST_F(ServeTelemetryFixture, DisarmedConfigRecordsNothing) {
 // --------------------------------------------------------- DriftMonitor --
 
 TEST_F(ServeTelemetryFixture, DriftMonitorMatchesHorizonsWithExactResiduals) {
-  serve::TelemetryConfig config;
-  config.drift_every = 1;
-  serve::DriftMonitor drift(session_, config);
+  serve::DriftMonitor drift(session_);
 
   const core::TGCRNConfig& mc = session_->model_config();
   const int64_t nd = mc.num_nodes * mc.output_dim;
@@ -281,42 +287,50 @@ TEST_F(ServeTelemetryFixture, DriftMonitorMatchesHorizonsWithExactResiduals) {
   std::vector<float> grid(static_cast<size_t>(kHorizon * nd));
   for (int64_t j = 0; j < nd; ++j) grid[j] = 10.0f;
   for (int64_t j = 0; j < nd; ++j) grid[nd + j] = 20.0f;
-  drift.RecordForecast("hz", /*steps=*/5, grid.data());
-
-  // Observation at steps 6 = horizon 1, off by +2 everywhere;
-  // at steps 7 = horizon 2, off by -3 everywhere.
+  // Each round forecasts at `steps`, then observes steps + 1 = horizon 1,
+  // off by +2 everywhere, and steps + 2 = horizon 2, off by -3
+  // everywhere: two matches per round, so kDriftEvery / 2 rounds fill
+  // one block.
   std::vector<float> ob1(static_cast<size_t>(nd), 12.0f);
   std::vector<float> ob2(static_cast<size_t>(nd), 17.0f);
-  drift.RecordObservation("hz", 6, 0, ob1.data());
-  drift.RecordObservation("hz", 7, 1, ob2.data());
+  const int64_t rounds = serve::kDriftEvery / kHorizon;
+  for (int64_t r = 0; r < rounds; ++r) {
+    const int64_t steps = 5 + r * kHorizon;
+    drift.RecordForecast("hz", steps, grid.data());
+    drift.RecordObservation("hz", steps + 1, 0, ob1.data());
+    if (r + 1 == rounds) {
+      EXPECT_FALSE(drift.BlockDue()) << "one match short";
+    }
+    drift.RecordObservation("hz", steps + 2, 1, ob2.data());
+  }
   EXPECT_TRUE(drift.HasData());
   EXPECT_TRUE(drift.BlockDue());
 
   obs::Json block = drift.Block();
   EXPECT_EQ(block.GetString("type"), "drift");
-  EXPECT_EQ(block.GetInt("observations"), 2);
-  EXPECT_EQ(block.GetInt("matched"), 2);
+  EXPECT_EQ(block.GetInt("observations"), serve::kDriftEvery);
+  EXPECT_EQ(block.GetInt("matched"), serve::kDriftEvery);
   EXPECT_DOUBLE_EQ(block.GetDouble("coverage"), 1.0);
   const obs::Json& horizons = block["horizons"];
   ASSERT_EQ(horizons.size(), static_cast<size_t>(kHorizon));
   EXPECT_EQ(horizons.at(0).GetInt("h"), 1);
-  EXPECT_EQ(horizons.at(0).GetInt("count"), 1);
+  EXPECT_EQ(horizons.at(0).GetInt("count"), rounds);
   EXPECT_DOUBLE_EQ(horizons.at(0).GetDouble("mae"), 2.0);
   EXPECT_DOUBLE_EQ(horizons.at(0).GetDouble("rmse"), 2.0);
-  EXPECT_EQ(horizons.at(1).GetInt("count"), 1);
+  EXPECT_EQ(horizons.at(1).GetInt("count"), rounds);
   EXPECT_DOUBLE_EQ(horizons.at(1).GetDouble("mae"), 3.0);
   EXPECT_DOUBLE_EQ(horizons.at(1).GetDouble("rmse"), 3.0);
 
   // The window resets after emission; totals keep accumulating.
+  EXPECT_FALSE(drift.BlockDue());
   obs::Json next = drift.Block();
   EXPECT_EQ(next.GetInt("observations"), 0);
-  EXPECT_EQ(next.GetInt("total_matched"), 2);
+  EXPECT_EQ(next.GetInt("total_matched"), serve::kDriftEvery);
   EXPECT_EQ(next.GetInt("block"), 1);
 }
 
 TEST_F(ServeTelemetryFixture, DriftMonitorStopsMatchingPastTheLastHorizon) {
-  serve::TelemetryConfig config;
-  serve::DriftMonitor drift(session_, config);
+  serve::DriftMonitor drift(session_);
   const core::TGCRNConfig& mc = session_->model_config();
   const int64_t nd = mc.num_nodes * mc.output_dim;
   std::vector<float> grid(static_cast<size_t>(kHorizon * nd), 1.0f);
@@ -331,8 +345,7 @@ TEST_F(ServeTelemetryFixture, DriftMonitorStopsMatchingPastTheLastHorizon) {
 }
 
 TEST_F(ServeTelemetryFixture, DriftBlockCarriesLiveGraphHealth) {
-  serve::TelemetryConfig config;
-  serve::DriftMonitor drift(session_, config);
+  serve::DriftMonitor drift(session_);
   const int64_t n = raw_->num_nodes();
   const int64_t d = raw_->num_features();
   // Two consecutive raw observations of one entity arm the graph probe.
@@ -347,48 +360,39 @@ TEST_F(ServeTelemetryFixture, DriftBlockCarriesLiveGraphHealth) {
   EXPECT_TRUE(graph.Has("sparsity"));
 
   // A single observation (probe depth 1) yields a null graph block.
-  serve::DriftMonitor cold(session_, config);
+  serve::DriftMonitor cold(session_);
   cold.RecordObservation("probe", 1, 0, raw_->values.data());
   EXPECT_TRUE(cold.Block()["graph"].is_null());
 }
 
-// TGCRN_SERVE_SLOW_US and TGCRN_SERVE_DRIFT_EVERY are whole integers
-// >= 0 (0 switches the feature off), default when unset or empty. A
-// partial, non-numeric or negative value stops the process naming the
-// variable; atoll used to read "12abc" as 12 and turn "abc" and "-3" into
-// the default.
+// TGCRN_SERVE_SLOW_US is a whole integer >= 0 (0 switches the slow
+// buffer off), default when unset or empty. A partial, non-numeric or
+// negative value stops the process naming the variable; atoll used to
+// read "12abc" as 12 and turn "abc" and "-3" into the default.
 TEST(TelemetryConfigEnvTest, ValidValuesAreRead) {
   setenv("TGCRN_SERVE_SLOW_US", "250", 1);
-  setenv("TGCRN_SERVE_DRIFT_EVERY", "0", 1);
-  const serve::TelemetryConfig config = serve::TelemetryConfig::FromEnv();
-  EXPECT_EQ(config.slow_us, 250);
-  EXPECT_EQ(config.drift_every, 0);
+  EXPECT_EQ(serve::TelemetryConfig::FromEnv().slow_us, 250);
   unsetenv("TGCRN_SERVE_SLOW_US");
-  unsetenv("TGCRN_SERVE_DRIFT_EVERY");
-  const serve::TelemetryConfig defaults = serve::TelemetryConfig::FromEnv();
-  EXPECT_EQ(defaults.slow_us, serve::TelemetryConfig().slow_us);
-  EXPECT_EQ(defaults.drift_every, serve::TelemetryConfig().drift_every);
+  EXPECT_EQ(serve::TelemetryConfig::FromEnv().slow_us,
+            serve::TelemetryConfig().slow_us);
 }
 
 TEST(TelemetryConfigEnvDeathTest, MalformedValuesAbort) {
-  for (const char* name : {"TGCRN_SERVE_SLOW_US", "TGCRN_SERVE_DRIFT_EVERY"}) {
-    for (const char* bad : {"12abc", "abc", "99999999999999999999"}) {
-      EXPECT_DEATH(
-          {
-            setenv(name, bad, 1);
-            (void)serve::TelemetryConfig::FromEnv();
-          },
-          std::string(name) + "=\".*\" is not an integer")
-          << name << "=" << bad;
-    }
+  for (const char* bad : {"12abc", "abc", "99999999999999999999"}) {
     EXPECT_DEATH(
         {
-          setenv(name, "-3", 1);
+          setenv("TGCRN_SERVE_SLOW_US", bad, 1);
           (void)serve::TelemetryConfig::FromEnv();
         },
-        std::string(name) + "=\"-3\" is outside \\[0, ")
-        << name;
+        "TGCRN_SERVE_SLOW_US=\".*\" is not an integer")
+        << bad;
   }
+  EXPECT_DEATH(
+      {
+        setenv("TGCRN_SERVE_SLOW_US", "-3", 1);
+        (void)serve::TelemetryConfig::FromEnv();
+      },
+      "TGCRN_SERVE_SLOW_US=\"-3\" is outside \\[0, ");
 }
 
 }  // namespace

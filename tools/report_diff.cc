@@ -1,7 +1,7 @@
 // Copyright 2026 TGCRN Reproduction Authors
 // Regression gate over two run-report JSONL files (obs/report.h format):
 //
-//   tgcrn_report_diff baseline.jsonl candidate.jsonl \
+//   tgcrn_report_diff baseline.jsonl candidate.jsonl
 //       [--max-regress-pct 10] [--max-time-regress-pct <pct|-1>]
 //
 // Prints a metric/baseline/candidate/delta table and exits 0 when no gated
