@@ -50,19 +50,6 @@ double Cosine(const Tensor& a, const Tensor& b) {
   return dot / (std::sqrt(na * nb) + 1e-12);
 }
 
-// Off-diagonal entries flattened.
-std::vector<double> OffDiagonal(const Tensor& m) {
-  const int64_t n = m.size(0);
-  std::vector<double> out;
-  out.reserve(n * (n - 1));
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      if (i != j) out.push_back(m.at({i, j}));
-    }
-  }
-  return out;
-}
-
 void Run() {
   const Scale scale = GetScale();
   std::printf("Fig 11 bench (learned graphs vs OD), scale=%s\n",

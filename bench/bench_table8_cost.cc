@@ -176,9 +176,9 @@ void Run() {
               "TGCRN params grow with embedding dims)\n");
   EmitTable("table8_cost", table);
 
-  // Thread-scaling addendum: the same TGCRN epoch at 1 thread vs the
-  // current pool width. Losses are bitwise identical across the two runs;
-  // only wall-clock changes.
+  // Thread-scaling addendum: the same TGCRN epoch at 1, 2, 4, ... threads
+  // up to the current pool width. Losses are bitwise identical across the
+  // runs; only wall-clock changes.
   {
     std::printf("\n=== thread scaling (TGCRN small emb, 1 epoch) ===\n");
     core::TGCRNConfig config;
@@ -191,8 +191,11 @@ void Run() {
     config.time_embed_dim = scale.node_embed_dim / 2;
     config.steps_per_day = bundle.steps_per_day;
     TablePrinter threads_table({"Threads", "s/epoch", "speedup"});
+    std::vector<int> widths;
+    for (int t = 1; t < max_threads; t *= 2) widths.push_back(t);
+    widths.push_back(max_threads);
     double single_thread_secs = 0.0;
-    for (const int t : {1, max_threads}) {
+    for (const int t : widths) {
       Rng rng(5003);
       core::TGCRN model(config, &rng);
       const auto result = TimeOneEpoch(&model, bundle, scale, t);
@@ -204,7 +207,6 @@ void Run() {
       threads_table.AddRow({std::to_string(t),
                             Cell(result.seconds_per_epoch, -1.0, 3),
                             Cell(speedup, -1.0, 2)});
-      if (max_threads == 1) break;  // nothing more to compare
     }
     EmitTable("table8_cost_threads", threads_table);
     common::SetNumThreads(max_threads);  // restore for any later use

@@ -36,11 +36,6 @@ int64_t GemmGrain(int64_t per_item) {
                            kGemmGrainFlops / std::max<int64_t>(1, per_item));
 }
 
-int64_t RowGrain(int64_t row_elems) {
-  return std::max<int64_t>(1,
-                           kElemwiseGrain / std::max<int64_t>(1, row_elems));
-}
-
 // Packs each of the `count` row-major (k x n) matrices of `w` for
 // gemm_rows.
 Tensor PackEach(const gemm::Kernels& kern, const float* w, int64_t count,

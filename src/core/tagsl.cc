@@ -467,11 +467,6 @@ bool NeedsGrad(const ag::internal::NodeRef& node) {
   return node && node->needs_grad;
 }
 
-int64_t RowGrain(int64_t row_elems) {
-  return std::max<int64_t>(1,
-                           kElemwiseGrain / std::max<int64_t>(1, row_elems));
-}
-
 // <a, b> accumulated serially from 0, as Sum(Mul(a, b), -1) rounds it.
 float Dot(const float* a, const float* b, int64_t len) {
   float sum = 0.0f;

@@ -375,7 +375,7 @@ std::string Json::Dump() const {
     case Type::kNumber:
       return FormatNumber(number_);
     case Type::kString:
-      return "\"" + Escape(string_) + "\"";
+      return '"' + Escape(string_) + '"';
     case Type::kArray: {
       std::string out = "[";
       for (size_t i = 0; i < array_.size(); ++i) {
@@ -391,7 +391,7 @@ std::string Json::Dump() const {
       for (const auto& [key, value] : object_) {
         if (!first) out += ",";
         first = false;
-        out += "\"" + Escape(key) + "\":" + value.Dump();
+        out += '"' + Escape(key) + "\":" + value.Dump();
       }
       out += "}";
       return out;

@@ -10,7 +10,7 @@
 //    a tensor it mutates.
 //  * Shape errors are programmer errors and abort via TGCRN_CHECK.
 //  * Hot kernels (matmul, elementwise, reductions, softmax, permute) run on
-//    the fixed-size pool in common/thread_pool.h, width controlled by
+//    the fork-join pool in common/thread_pool.h, width controlled by
 //    TGCRN_NUM_THREADS / common::SetNumThreads (1 = serial).
 //  * Matmul and Exp/Sigmoid/Tanh dispatch to ISA-specific SIMD kernels
 //    (tensor/kernels/, selected by TGCRN_ISA / CPUID — see
@@ -26,6 +26,7 @@
 #ifndef TGCRN_TENSOR_TENSOR_H_
 #define TGCRN_TENSOR_TENSOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -44,6 +45,13 @@ using Shape = std::vector<int64_t>;
 // this the dispatch overhead outweighs the work. Grain only affects chunk
 // boundaries, never results.
 inline constexpr int64_t kElemwiseGrain = 1024;
+
+// ParallelFor grain for a loop over rows of `row_elems` elements each:
+// kElemwiseGrain elements' worth of rows per chunk, and at least one row.
+inline int64_t RowGrain(int64_t row_elems) {
+  return std::max<int64_t>(1,
+                           kElemwiseGrain / std::max<int64_t>(1, row_elems));
+}
 
 // Returns a human-readable form like "[2, 3, 4]".
 std::string ShapeToString(const Shape& shape);

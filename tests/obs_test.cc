@@ -115,7 +115,8 @@ TEST(JsonTest, NumbersRoundTripExactly) {
       mantissa.erase(0, mantissa.find_first_not_of('0'));
       mantissa.erase(mantissa.find_last_not_of('0') + 1);
       const int digits = static_cast<int>(mantissa.size());
-      char shorter[40];
+      // Room for the widest %.*g of any double: DBL_MAX's 309 digits.
+      char shorter[320];
       std::snprintf(shorter, sizeof(shorter), "%.*g", digits - 1, d);
       if (digits > 1) {
         EXPECT_NE(std::strtod(shorter, nullptr), d) << text;

@@ -7,12 +7,16 @@
 // "prof" JSONL round trip —
 // and the guarantee that the profiler never changes what training computes
 // (bitwise losses, zero-alloc steady state when off).
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,7 +181,9 @@ TEST(ProfTreeTest, NestedScopesBuildAttributionTree) {
     const auto& node = report.nodes[i];
     EXPECT_GE(node.inclusive_seconds, node.exclusive_seconds) << node.name;
     EXPECT_GE(node.exclusive_seconds, 0.0) << node.name;
-    if (node.parent >= 0) EXPECT_LT(node.parent, static_cast<int64_t>(i));
+    if (node.parent >= 0) {
+      EXPECT_LT(node.parent, static_cast<int64_t>(i));
+    }
   }
 
   // The kernel summary aggregated both leaf paths.
@@ -227,13 +233,55 @@ TEST(ProfTreeTest, WorkerAttributionScopeBuildsWorkerFrame) {
   EXPECT_GE(summary->worker_seconds, 0.0);
 }
 
+// Through the pool: a width-4 region opened inside a profiled kernel scope
+// puts the helpers' chunk time on root -> worker -> kernel.
+TEST(ProfTreeTest, PoolHelpersAttributeToWorkerFrame) {
+  ScopedProfiler profiler;
+  ScopedNumThreads threads(4);
+  std::mutex mu;
+  std::set<std::thread::id> ran_chunks;
+  {
+    TGCRN_TRACE_SCOPE("test.kernel");
+    common::ParallelFor(0, 64, 1, [&](int64_t s, int64_t) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ran_chunks.insert(std::this_thread::get_id());
+      }
+      if (s != 0) return;
+      // The first chunk holds the region open until a second thread runs
+      // a chunk, so a helper takes part however the threads are scheduled.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (std::chrono::steady_clock::now() < deadline) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (ran_chunks.size() >= 2) return;
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  ASSERT_GE(ran_chunks.size(), 2u);
+  const obs::ProfReport report = obs::CollectProfReport();
+  bool found = false;
+  for (const obs::ProfNodeReport& node : report.nodes) {
+    if (node.name != "test.kernel" || node.parent <= 0) continue;
+    const obs::ProfNodeReport& worker =
+        report.nodes[static_cast<size_t>(node.parent)];
+    found = found || (worker.name == "worker" && worker.parent == 0);
+  }
+  EXPECT_TRUE(found) << "no root -> worker -> test.kernel node";
+}
+
 TEST(ProfTreeTest, ResetProfileClearsAccumulatorsKeepsCollection) {
   ScopedProfiler profiler;
   LeafScope();
   obs::ResetProfile();
   const obs::ProfReport cleared = obs::CollectProfReport();
   const obs::ProfKernelReport* leaf = FindKernel(cleared, "test.leaf");
-  if (leaf != nullptr) EXPECT_EQ(leaf->invocations, 0);
+  if (leaf != nullptr) {
+    EXPECT_EQ(leaf->invocations, 0);
+  }
 
   LeafScope();  // collection is still armed
   const obs::ProfReport after = obs::CollectProfReport();

@@ -1,15 +1,18 @@
 // Copyright 2026 TGCRN Reproduction Authors
-// Unit tests of the fixed-size thread pool: range coverage, chunk ordering
+// Unit tests of the fork-join thread pool: range coverage, chunk ordering
 // on the serial path, exception propagation out of ParallelFor, nested-call
-// degradation to serial execution, grain-size boundary cases, and the
-// determinism of the fixed-chunk tree reduction across thread counts.
+// degradation to serial execution, grain-size boundary cases, concurrent
+// callers, width changes, allocation-free dispatch, and the determinism of
+// the fixed-chunk tree reduction across thread counts.
 #include "common/thread_pool.h"
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -18,6 +21,21 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+
+// Global operator new calls in this binary, from any thread. The
+// replacements live on malloc/free; the deletes stay out of line so that no
+// delete-expression inlines a free() of an operator new pointer.
+static std::atomic<int64_t> g_operator_new_calls{0};
+
+void* operator new(std::size_t size) {
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tgcrn {
 namespace {
@@ -121,8 +139,7 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
 }
 
 // A ParallelFor issued from inside a chunk must degrade to serial instead
-// of re-entering the pool (a worker waiting on its own queue would
-// deadlock). The nested region still covers its full range.
+// of re-entering the pool. The nested region still covers its full range.
 TEST(ThreadPoolTest, NestedCallDegradesToSerial) {
   ScopedNumThreads guard(4);
   const int64_t outer_n = 64, inner_n = 512;
@@ -195,6 +212,95 @@ TEST(ThreadPoolTest, PoolStatsSurviveNestedSerialDegradation) {
   const auto final_stats = common::GetPoolStats();
   EXPECT_EQ(final_stats.parallel_for_calls, after.parallel_for_calls + 1);
   EXPECT_GT(final_stats.chunks_executed, after.chunks_executed);
+}
+
+// Dispatch makes no heap allocation at any width, even for a body that
+// captures four references (too wide for std::function's inline buffer).
+TEST(ThreadPoolTest, ParallelForAllocatesNothing) {
+  std::vector<float> a(4096, 1.0f), b(4096, 2.0f), out(4096);
+  float scale = 0.5f;
+  auto run = [&] {
+    ParallelFor(0, 4096, 256, [&a, &b, &out, &scale](int64_t s, int64_t e) {
+      for (int64_t i = s; i < e; ++i) out[i] = a[i] * b[i] * scale;
+    });
+  };
+  for (const int threads : {1, 4}) {
+    ScopedNumThreads guard(threads);
+    for (int i = 0; i < 100; ++i) run();  // warm-up: starts the workers
+    const int64_t before = g_operator_new_calls.load();
+    for (int i = 0; i < 1000; ++i) run();
+    EXPECT_EQ(g_operator_new_calls.load() - before, 0)
+        << "threads=" << threads;
+  }
+}
+
+// Two threads dispatching at once each cover their own range exactly once
+// per call, and neither waits on the other's region: a call made while
+// another thread's region is in flight runs serially on its caller.
+TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirRange) {
+  ScopedNumThreads guard(4);
+  constexpr int64_t kN = 4096;
+  constexpr int kCalls = 200;
+  // Plain ints: the pool's own synchronization must publish the chunks.
+  auto calls = [](std::vector<int>* counts) {
+    for (int call = 0; call < kCalls; ++call) {
+      ParallelFor(0, kN, 64, [counts](int64_t s, int64_t e) {
+        for (int64_t i = s; i < e; ++i) ++(*counts)[i];
+      });
+    }
+  };
+  std::vector<int> first(kN, 0), second(kN, 0);
+  std::thread t1(calls, &first), t2(calls, &second);
+  t1.join();
+  t2.join();
+  for (int64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(first[i], kCalls) << i;
+    ASSERT_EQ(second[i], kCalls) << i;
+  }
+
+  // A region held open until another thread's call has returned. Were that
+  // call to wait for the held region, it could not return, and the held
+  // chunk would give up at the deadline.
+  std::atomic<bool> holding{false}, other_returned{false};
+  bool saw_other_return = false;
+  std::thread holder([&] {
+    ParallelFor(0, 64, 1, [&](int64_t s, int64_t) {
+      if (s != 0) return;
+      holding = true;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!other_returned && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      saw_other_return = other_returned;
+    });
+  });
+  while (!holding) std::this_thread::yield();
+  std::vector<int> counts(kN, 0);
+  ParallelFor(0, kN, 64, [&](int64_t s, int64_t e) {
+    for (int64_t i = s; i < e; ++i) ++counts[i];
+  });
+  other_returned = true;
+  holder.join();
+  EXPECT_TRUE(saw_other_return);
+  for (int64_t i = 0; i < kN; ++i) ASSERT_EQ(counts[i], 1) << i;
+}
+
+// Switching the width between regions, as every ScopedNumThreads does,
+// leaves the pool working: each region still covers its range once.
+TEST(ThreadPoolTest, WidthChangesKeepWorking) {
+  constexpr int64_t kN = 1024;
+  constexpr int kRounds = 1000;
+  std::vector<int> counts(kN, 0);
+  for (int round = 0; round < kRounds; ++round) {
+    for (const int threads : {1, 4}) {
+      ScopedNumThreads guard(threads);
+      ParallelFor(0, kN, 16, [&](int64_t s, int64_t e) {
+        for (int64_t i = s; i < e; ++i) ++counts[i];
+      });
+    }
+  }
+  for (int64_t i = 0; i < kN; ++i) ASSERT_EQ(counts[i], 2 * kRounds) << i;
 }
 
 TEST(ThreadPoolTest, SetNumThreadsIsReflected) {
