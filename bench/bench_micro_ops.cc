@@ -168,6 +168,21 @@ void BM_SigmoidThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_SigmoidThreads)->Arg(1)->Arg(2)->Arg(4);
 
+// One ParallelFor dispatch by itself: 4,096 floats scaled in place, grain
+// 256 (16 chunks), so the row is mostly the pool's fork-join cost.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  common::ScopedNumThreads threads(static_cast<int>(state.range(0)));
+  std::vector<float> data(4096, 1.0f);
+  for (auto _ : state) {
+    common::ParallelFor(0, 4096, 256, [&](int64_t b, int64_t e) {
+      for (int64_t i = b; i < e; ++i) data[i] *= 0.5f;
+    });
+    benchmark::DoNotOptimize(data.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(2)->Arg(4);
+
 // --- ISA sweeps -------------------------------------------------------------
 // The same kernels with the SIMD level pinned (arg: 0 = scalar table,
 // 1 = AVX2 table), single-threaded, so the speedup column in
@@ -633,15 +648,18 @@ BENCHMARK(BM_TagslSelectTopK)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// One fused GCGRU step at the metro-dense shapes: B = 16, N = 32, H = 16,
-// d_nu = 12, d_tau = 8; layer 0 reads the d = 2 input, layer 1 the hidden
-// state. topk: 0 = the dense row-softmax graph, k = its top-k CSR form.
-// bwd: 1 adds the step's backward (seeded with ones). Inputs need
-// gradients, so the forward records its node as in training.
+// One pass of fused GCGRU steps at the metro-dense shapes: B = 16, N = 32,
+// H = 16, d_nu = 12, d_tau = 8; layer 0 reads the d = 2 input, layer 1 the
+// hidden state. topk: 0 = the dense row-softmax graph, k = its top-k CSR
+// form. steps: T steps share one hoisted weight set (12 is a metro-dense
+// encoder pass), each feeding its output back as h. bwd: 1 adds one
+// backward from the last step (seeded with ones). Inputs need gradients,
+// so the pass records its nodes as in training.
 void BM_GcgruStep(benchmark::State& state) {
   const int64_t layer = state.range(0);
   const int64_t topk = state.range(1);
   const bool backward = state.range(2) != 0;
+  const int64_t steps = state.range(3);
   const int64_t b = 16, n = 32, hid = 16;
   const int64_t cin = layer == 0 ? 2 : hid;
   Rng rng(7);
@@ -663,15 +681,19 @@ void BM_GcgruStep(benchmark::State& state) {
   const Tensor ones = Tensor::Ones({b, n, hid});
   for (auto _ : state) {
     ag::StepArenaScope arena;
-    ag::Variable out = cell.Forward(x, h, adj, node_embed, time_embed);
+    const core::GCGRUWeights weights = cell.HoistWeights(node_embed, b);
+    ag::Variable out = h;
+    for (int64_t t = 0; t < steps; ++t) {
+      out = cell.Forward(x, out, adj, node_embed, time_embed, weights);
+    }
     if (backward) out.Backward(ones);
     benchmark::DoNotOptimize(out.value().data());
   }
   StampIsa(state);
 }
 BENCHMARK(BM_GcgruStep)
-    ->ArgNames({"layer", "topk", "bwd"})
-    ->ArgsProduct({{0, 1}, {0, 8}, {0, 1}})
+    ->ArgNames({"layer", "topk", "bwd", "steps"})
+    ->ArgsProduct({{0, 1}, {0, 8}, {0, 1}, {1, 12}})
     ->Unit(benchmark::kMicrosecond);
 
 // One forecast response at the metro-dense serving shape (Q = 12, N = 32,

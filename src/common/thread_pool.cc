@@ -227,7 +227,16 @@ double DeterministicChunkedSum(
   if (grain < 1) grain = 1;
   const int64_t num_chunks = (n + grain - 1) / grain;
   if (num_chunks == 1) return chunk_sum(0, n);
-  std::vector<double> partials(num_chunks);
+  // Partials live on the stack up to kStackPartials chunks, so the common
+  // reduction allocates nothing.
+  constexpr int64_t kStackPartials = 64;
+  double stack_partials[kStackPartials];
+  std::vector<double> heap_partials;
+  double* partials = stack_partials;
+  if (num_chunks > kStackPartials) {
+    heap_partials.resize(num_chunks);
+    partials = heap_partials.data();
+  }
   ParallelFor(0, num_chunks, 1, [&](int64_t cb, int64_t ce) {
     for (int64_t c = cb; c < ce; ++c) {
       partials[c] = chunk_sum(c * grain, std::min(n, (c + 1) * grain));

@@ -97,7 +97,8 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
 // returns the partial for one fixed chunk of at most `grain` elements;
 // partials are combined by a fixed pairwise tree. The chunking and the
 // combine order depend only on n and grain, so the result is bitwise
-// identical regardless of the thread count (including 1).
+// identical regardless of the thread count (including 1). Up to 64 chunks
+// it allocates nothing.
 double DeterministicChunkedSum(int64_t n, int64_t grain,
                                FunctionRef<double(int64_t, int64_t)> chunk_sum);
 

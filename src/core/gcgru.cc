@@ -36,16 +36,16 @@ int64_t GemmGrain(int64_t per_item) {
                            kGemmGrainFlops / std::max<int64_t>(1, per_item));
 }
 
-// Packs each of the `count` row-major (k x n) matrices of `w` for
-// gemm_rows.
+// Packs each of the `count` logical (k x n) matrices of `w` for gemm_rows:
+// row-major (k x n) sources, or (n x k) ones read transposed.
 Tensor PackEach(const gemm::Kernels& kern, const float* w, int64_t count,
-                int64_t k, int64_t n) {
+                int64_t k, int64_t n, bool transpose_b = false) {
   const int64_t per = gemm::PackedBCount(k, n);
   Tensor packed = Tensor::ForOverwrite({count * per});
   float* out = packed.mutable_data();
   common::ParallelFor(0, count, GemmGrain(k * n), [&](int64_t m0, int64_t m1) {
     for (int64_t m = m0; m < m1; ++m) {
-      kern.pack_b(w + m * k * n, k, n, /*transpose_b=*/false, out + m * per);
+      kern.pack_b(w + m * k * n, k, n, transpose_b, out + m * per);
     }
   });
   return packed;
@@ -66,28 +66,28 @@ struct TimeOperand {
   const Tensor* pool_b = nullptr;  // [d_tau, O]
 };
 
-// What one convolution's backward needs.
+// What one convolution's backward needs: its activations and the
+// parents only it reads.
 struct ConvSaved {
   Tensor v;       // [B, N, C]: [x ; h] (gates) or [x ; r*h] (candidate)
   Tensor sup;     // [B, N, 2C] = [v ; A v]
   Tensor w_time;  // [B, 2C * O] = E_tau pool_w_time; empty without time
-  Tensor w_node;  // [N, 2C * O] hoisted W_nu
+  Tensor w_packed_t;  // W_nu^T panels for g W_nu^T, or empty
+  // The hoisted W_nu [N, 2C * O] and b_nu [N, O], and the time pools
+  // (null without time).
+  ag::internal::NodeRef w_node, b_node, pool_w_time, pool_b_time;
 };
 
-// Everything the step's backward reads: activations, hoisted weights and
-// the parents it routes gradients to. Lives in the step arena while
-// training (ag::SavedState), so a step allocates nothing on the heap for
-// it.
+// Everything the step's backward reads: activations and the parents it
+// routes gradients to. Lives in the step arena while training
+// (ag::SavedState), so a step allocates nothing on the heap for it.
 struct StepSaved {
   ConvSaved gates;
   ConvSaved cand;
   Tensor zr;  // [B, N, 2H] sigmoid of the gates (z | r)
   Tensor c;   // [B, N, H] tanh of the candidate
   std::shared_ptr<graph::CsrIndex> index;  // sparse adjacency structure
-  ag::internal::NodeRef x, h, adj, node_embed, time_embed;
-  // Pools: gates w/b node, gates w/b time, cand w/b node, cand w/b time
-  // (the time slots null without time).
-  ag::internal::NodeRef pool[8];
+  ag::internal::NodeRef x, h, adj, time_embed;
 };
 
 // Writes [a ; b] rows into v ([rows, ca + cb]) and the first half of sup
@@ -121,8 +121,9 @@ void FillValue(const float* a, int64_t ca, const float* b, int64_t cb,
 // in the op-by-op cell's add order; the node term reads sup's per-node
 // rows through gemm_rows' A strides.
 Tensor ConvForward(const AdjOperand& adj, const TimeOperand& time,
-                   const Tensor& w_packed, const Tensor& b_node,
-                   int64_t out_dim, const gemm::Kernels& kern,
+                   const Tensor& w_node, const Tensor& w_packed,
+                   const Tensor& b_node, int64_t out_dim,
+                   const gemm::Kernels& kern,
                    void (*act)(const float*, float*, int64_t),
                    ConvSaved* s) {
   const int64_t batch = s->v.size(0);
@@ -164,7 +165,7 @@ Tensor ConvForward(const AdjOperand& adj, const TimeOperand& time,
                            out_dim, out_node, out_dim);
           } else {
             kern.gemm_rows_direct(sp + node * c2, n * c2, 1,
-                                  s->w_node.data() + node * c2 * out_dim, 0,
+                                  w_node.data() + node * c2 * out_dim, 0,
                                   batch, c2, out_dim, out_node);
           }
         }
@@ -236,12 +237,18 @@ StepCost ForwardCost(double b, double n, double cin, double hid, bool dense,
   return cost;
 }
 
-StepCost BackwardCost(double b, double n, double cin, double hid,
-                      bool time) {
+// node_panels: whether g W_nu^T runs here on the hoisted panels (else the
+// tensor.MatmulTransposeB row records it).
+StepCost BackwardCost(double b, double n, double cin, double hid, bool time,
+                      bool node_panels) {
   StepCost cost;
   const double c = cin + hid;
   const double rows = b * n;
   for (const double o : {2.0 * hid, hid}) {
+    if (node_panels) {
+      cost.flops += 2.0 * rows * o * 2.0 * c;  // g W_nu^T
+      cost.bytes += 4.0 * (rows * o + n * 2.0 * c * o + rows * 2.0 * c);
+    }
     cost.flops += 2.0 * rows * 2.0 * c * o;           // dW_nu (node GEMM)
     cost.flops += (time ? 2.0 : 1.0) * rows * o;      // bias-gradient sums
     cost.flops += 2.0 * rows * 2.0 * c + rows * c;    // sup grad, + A^T g
@@ -277,20 +284,19 @@ Tensor StepForward(const Tensor& x, const Tensor& h, const AdjOperand& adj,
   // Eq 13-14: update and reset gates from [x ; h] and its aggregation.
   s->gates.v = Tensor::ForOverwrite({batch, n, c});
   s->gates.sup = Tensor::ForOverwrite({batch, n, 2 * c});
-  s->gates.w_node = w.gates_w;
   FillValue(x.data(), cin, h.data(), hid, nullptr, 0, rows,
             s->gates.v.mutable_data(), s->gates.sup.mutable_data());
-  s->zr = ConvForward(adj, gates_time, w.gates_packed, w.gates_b, 2 * hid,
-                      kern, vm.sigmoid_n, &s->gates);
+  s->zr = ConvForward(adj, gates_time, w.gates_w.value(), w.gates_packed,
+                      w.gates_b.value(), 2 * hid, kern, vm.sigmoid_n,
+                      &s->gates);
 
   // Eq 15: candidate from [x ; r * h].
   s->cand.v = Tensor::ForOverwrite({batch, n, c});
   s->cand.sup = Tensor::ForOverwrite({batch, n, 2 * c});
-  s->cand.w_node = w.cand_w;
   FillValue(x.data(), cin, h.data(), hid, s->zr.data() + hid, 2 * hid, rows,
             s->cand.v.mutable_data(), s->cand.sup.mutable_data());
-  s->c = ConvForward(adj, cand_time, w.cand_packed, w.cand_b, hid, kern,
-                     vm.tanh_n, &s->cand);
+  s->c = ConvForward(adj, cand_time, w.cand_w.value(), w.cand_packed,
+                     w.cand_b.value(), hid, kern, vm.tanh_n, &s->cand);
 
   // Eq 16: h' = (1 - z) h + z c~, with 1 - z as (-z) + 1.
   Tensor out = Tensor::ForOverwrite({batch, n, hid});
@@ -337,24 +343,28 @@ Tensor Columns(const float* src, int64_t stride, int64_t begin,
   return out;
 }
 
+// True when g W_nu^T runs on the hoisted transposed panels: they exist and
+// the batch is wide enough that tensor.MatmulTransposeB would pack the
+// same panels (below the cutover it takes its dot-row path instead).
+bool UsesNodePanels(const ConvSaved& s) {
+  return s.w_packed_t.numel() > 0 && s.v.size(0) >= gemm::kSmallMCutover;
+}
+
 // Backward of one convolution given the gradient of its pre-activation
 // ([B, N, O]); returns the gradient of v. Parents are accumulated in the
 // order the op-by-op chain fired: b_tau (E_tau, pool), the time term
-// (sup, then E_tau and pool via W_tau), b_nu (E_nu, pool), the node term
-// (sup, then E_nu and pool via W_nu), the split of [v ; A v], and the
-// aggregation (adjacency, then v).
+// (sup, then E_tau and pool via W_tau), b_nu, the node term (sup, then
+// W_nu), the split of [v ; A v], and the aggregation (adjacency, then v).
+// b_nu and W_nu are the pass's hoisted products: their own Matmul nodes
+// carry the summed gradients on to E_nu and the node pools once, after
+// the last step of the pass.
 Tensor ConvBackward(const ConvSaved& s, const Tensor& g_pre,
-                    const StepSaved& st, int pool0,
-                    const gemm::Kernels& kern) {
+                    const StepSaved& st, const gemm::Kernels& kern) {
   const int64_t batch = s.v.size(0);
   const int64_t n = s.v.size(1);
   const int64_t c = s.v.size(2);
   const int64_t c2 = 2 * c;
   const int64_t o = g_pre.size(2);
-  const ag::internal::NodeRef& pool_w_node = st.pool[pool0];
-  const ag::internal::NodeRef& pool_b_node = st.pool[pool0 + 1];
-  const ag::internal::NodeRef& pool_w_time = st.pool[pool0 + 2];
-  const ag::internal::NodeRef& pool_b_time = st.pool[pool0 + 3];
   const bool time = st.time_embed != nullptr;
 
   Tensor g_sup_time;  // [B, N, 2C] from the time term
@@ -362,32 +372,26 @@ Tensor ConvBackward(const ConvSaved& s, const Tensor& g_pre,
     const Tensor& t = st.time_embed->value;
     const Tensor g_bt = g_pre.Sum(1);  // [B, O]
     if (NeedsGrad(st.time_embed)) {
-      Accumulate(st.time_embed, g_bt.MatmulTransposeB(pool_b_time->value));
+      Accumulate(st.time_embed, g_bt.MatmulTransposeB(s.pool_b_time->value));
     }
-    if (NeedsGrad(pool_b_time)) {
-      Accumulate(pool_b_time, t.MatmulTransposeA(g_bt));
+    if (NeedsGrad(s.pool_b_time)) {
+      Accumulate(s.pool_b_time, t.MatmulTransposeA(g_bt));
     }
     g_sup_time = g_pre.MatmulTransposeB(s.w_time.Reshape({batch, c2, o}));
-    if (NeedsGrad(st.time_embed) || NeedsGrad(pool_w_time)) {
+    if (NeedsGrad(st.time_embed) || NeedsGrad(s.pool_w_time)) {
       const Tensor g_wt =
           s.sup.MatmulTransposeA(g_pre).Reshape({batch, c2 * o});
       if (NeedsGrad(st.time_embed)) {
-        Accumulate(st.time_embed, g_wt.MatmulTransposeB(pool_w_time->value));
+        Accumulate(st.time_embed,
+                   g_wt.MatmulTransposeB(s.pool_w_time->value));
       }
-      if (NeedsGrad(pool_w_time)) {
-        Accumulate(pool_w_time, t.MatmulTransposeA(g_wt));
+      if (NeedsGrad(s.pool_w_time)) {
+        Accumulate(s.pool_w_time, t.MatmulTransposeA(g_wt));
       }
     }
   }
 
-  const Tensor& e = st.node_embed->value;
-  const Tensor g_bn = g_pre.Sum(0);  // [N, O]
-  if (NeedsGrad(st.node_embed)) {
-    Accumulate(st.node_embed, g_bn.MatmulTransposeB(pool_b_node->value));
-  }
-  if (NeedsGrad(pool_b_node)) {
-    Accumulate(pool_b_node, e.MatmulTransposeA(g_bn));
-  }
+  if (NeedsGrad(s.b_node)) Accumulate(s.b_node, g_pre.Sum(0));  // [N, O]
 
   // Node term: per node n, out[:, n] = sup[:, n] W_nu[n].
   Tensor g_node = Tensor::ForOverwrite({n, batch, o});  // g_pre per node
@@ -403,9 +407,25 @@ Tensor ConvBackward(const ConvSaved& s, const Tensor& g_pre,
       }
     });
   }
-  const Tensor g_by_node =
-      g_node.MatmulTransposeB(s.w_node.Reshape({n, c2, o}));  // [N, B, 2C]
-  if (NeedsGrad(st.node_embed) || NeedsGrad(pool_w_node)) {
+  Tensor g_by_node;  // [N, B, 2C] = g_node[n] W_nu[n]^T
+  if (UsesNodePanels(s)) {
+    g_by_node = Tensor::ForOverwrite({n, batch, c2});
+    const int64_t per = gemm::PackedBCount(o, c2);
+    const float* gn = g_node.data();
+    const float* wt = s.w_packed_t.data();
+    float* out = g_by_node.mutable_data();
+    common::ParallelFor(
+        0, n, GemmGrain(batch * o * c2), [&](int64_t n0, int64_t n1) {
+          for (int64_t node = n0; node < n1; ++node) {
+            kern.gemm_rows(gn + node * batch * o, o, 1, wt + node * per, 0,
+                           batch, o, c2, out + node * batch * c2, c2);
+          }
+        });
+  } else {
+    g_by_node =
+        g_node.MatmulTransposeB(s.w_node->value.Reshape({n, c2, o}));
+  }
+  if (NeedsGrad(s.w_node)) {
     // dW_nu[n] = sup[:, n]^T g_node[n], sup read in place.
     Tensor g_wn = Tensor::ForOverwrite({n, c2 * o});
     const Tensor packed = PackEach(kern, g_node.data(), n, batch, o);
@@ -420,12 +440,7 @@ Tensor ConvBackward(const ConvSaved& s, const Tensor& g_pre,
                            wp + node * c2 * o, o);
           }
         });
-    if (NeedsGrad(st.node_embed)) {
-      Accumulate(st.node_embed, g_wn.MatmulTransposeB(pool_w_node->value));
-    }
-    if (NeedsGrad(pool_w_node)) {
-      Accumulate(pool_w_node, e.MatmulTransposeA(g_wn));
-    }
+    Accumulate(s.w_node, g_wn);
   }
 
   // Gradient of [v ; A v]: the time term's part, then the node term's.
@@ -487,7 +502,7 @@ void StepBackward(const StepSaved& s, const Tensor& g) {
   const StepCost cost = BackwardCost(
       static_cast<double>(batch), static_cast<double>(n),
       static_cast<double>(cin), static_cast<double>(hid),
-      s.time_embed != nullptr);
+      s.time_embed != nullptr, UsesNodePanels(s.gates));
   obs::RecordKernelCost("gcgru.StepBackward", cost.flops, cost.bytes);
   const gemm::Kernels& kern = gemm::GetKernels(common::ActiveSimdIsa());
   const float* zr = s.zr.data();
@@ -514,7 +529,7 @@ void StepBackward(const StepSaved& s, const Tensor& g) {
       }
     });
   }
-  const Tensor g_v_cand = ConvBackward(s.cand, g_cand, s, 4, kern);
+  const Tensor g_v_cand = ConvBackward(s.cand, g_cand, s, kern);
 
   // [x ; r h]: x's partial, then r h into r and h; (1 - z) h into z and h.
   if (NeedsGrad(s.x)) {
@@ -556,7 +571,7 @@ void StepBackward(const StepSaved& s, const Tensor& g) {
   }
   Accumulate(s.h, h_from_rh);
   Accumulate(s.h, h_from_blend);
-  const Tensor g_v_gates = ConvBackward(s.gates, g_gates, s, 0, kern);
+  const Tensor g_v_gates = ConvBackward(s.gates, g_gates, s, kern);
 
   // [x ; h]: x's partial, then h's.
   if (NeedsGrad(s.x)) {
@@ -611,17 +626,23 @@ GCGRUWeights GCGRUCell::HoistWeights(const ag::Variable& node_embed,
   TGCRN_CHECK_EQ(node_embed.size(1), node_embed_dim_);
   const int64_t n = node_embed.size(0);
   const int64_t cat = 2 * (input_dim_ + hidden_dim_);
-  const Tensor& e = node_embed.value();
   GCGRUWeights w;
-  w.gates_w = e.Matmul(gates_pool_w_node_.value());
-  w.gates_b = e.Matmul(gates_pool_b_node_.value());
-  w.cand_w = e.Matmul(cand_pool_w_node_.value());
-  w.cand_b = e.Matmul(cand_pool_b_node_.value());
+  w.gates_w = ag::Matmul(node_embed, gates_pool_w_node_);
+  w.gates_b = ag::Matmul(node_embed, gates_pool_b_node_);
+  w.cand_w = ag::Matmul(node_embed, cand_pool_w_node_);
+  w.cand_b = ag::Matmul(node_embed, cand_pool_b_node_);
   if (batch >= gemm::kSmallMCutover) {
     const gemm::Kernels& kern = gemm::GetKernels(common::ActiveSimdIsa());
-    w.gates_packed =
-        PackEach(kern, w.gates_w.data(), n, cat, 2 * hidden_dim_);
-    w.cand_packed = PackEach(kern, w.cand_w.data(), n, cat, hidden_dim_);
+    const float* gw = w.gates_w.value().data();
+    const float* cw = w.cand_w.value().data();
+    w.gates_packed = PackEach(kern, gw, n, cat, 2 * hidden_dim_);
+    w.cand_packed = PackEach(kern, cw, n, cat, hidden_dim_);
+    if (w.gates_w.needs_grad()) {
+      w.gates_packed_t =
+          PackEach(kern, gw, n, 2 * hidden_dim_, cat, /*transpose_b=*/true);
+      w.cand_packed_t =
+          PackEach(kern, cw, n, hidden_dim_, cat, /*transpose_b=*/true);
+    }
   }
   return w;
 }
@@ -649,8 +670,9 @@ ag::Variable GCGRUCell::Forward(const ag::Variable& x, const ag::Variable& h,
   const int64_t batch = x.size(0);
   const int64_t n = x.size(1);
   TGCRN_CHECK_EQ(node_embed.size(0), n);
-  TGCRN_CHECK(weights.gates_w.shape() ==
-              (Shape{n, 2 * (input_dim_ + hidden_dim_) * 2 * hidden_dim_}))
+  TGCRN_CHECK(weights.defined() &&
+              weights.gates_w.shape() ==
+                  (Shape{n, 2 * (input_dim_ + hidden_dim_) * 2 * hidden_dim_}))
       << "weights were hoisted for another cell or graph";
   const bool time = time_embed.defined();
   if (time) TGCRN_CHECK_EQ(time_embed.size(0), batch);
@@ -684,15 +706,15 @@ ag::Variable GCGRUCell::Forward(const ag::Variable& x, const ag::Variable& h,
 
   // Parents in the order the op-by-op chain's backward walk first reached
   // them, so the topological sort visits everything upstream in the same
-  // order: [x ; h], the adjacency, E_nu and the gate node pools, E_tau and
-  // the gate time pools, then the candidate pools.
-  std::vector<ag::Variable> parents = {x, h, adj_var, node_embed,
-                                       gates_pool_w_node_, gates_pool_b_node_};
+  // order: [x ; h], the adjacency, the gates' W_nu and b_nu, E_tau and the
+  // gate time pools, then the candidate's.
+  std::vector<ag::Variable> parents = {x, h, adj_var, weights.gates_w,
+                                       weights.gates_b};
   if (time) {
     parents.insert(parents.end(),
                    {time_embed, gates_pool_w_time_, gates_pool_b_time_});
   }
-  parents.insert(parents.end(), {cand_pool_w_node_, cand_pool_b_node_});
+  parents.insert(parents.end(), {weights.cand_w, weights.cand_b});
   if (time) {
     parents.insert(parents.end(), {cand_pool_w_time_, cand_pool_b_time_});
   }
@@ -713,17 +735,18 @@ ag::Variable GCGRUCell::Forward(const ag::Variable& x, const ag::Variable& h,
   saved->x = x.node();
   saved->h = h.node();
   saved->adj = adj_var.node();
-  saved->node_embed = node_embed.node();
-  saved->pool[0] = gates_pool_w_node_.node();
-  saved->pool[1] = gates_pool_b_node_.node();
-  saved->pool[4] = cand_pool_w_node_.node();
-  saved->pool[5] = cand_pool_b_node_.node();
+  saved->gates.w_node = weights.gates_w.node();
+  saved->gates.b_node = weights.gates_b.node();
+  saved->gates.w_packed_t = weights.gates_packed_t;
+  saved->cand.w_node = weights.cand_w.node();
+  saved->cand.b_node = weights.cand_b.node();
+  saved->cand.w_packed_t = weights.cand_packed_t;
   if (time) {
     saved->time_embed = time_embed.node();
-    saved->pool[2] = gates_pool_w_time_.node();
-    saved->pool[3] = gates_pool_b_time_.node();
-    saved->pool[6] = cand_pool_w_time_.node();
-    saved->pool[7] = cand_pool_b_time_.node();
+    saved->gates.pool_w_time = gates_pool_w_time_.node();
+    saved->gates.pool_b_time = gates_pool_b_time_.node();
+    saved->cand.pool_w_time = cand_pool_w_time_.node();
+    saved->cand.pool_b_time = cand_pool_b_time_.node();
   }
   if (adj.is_sparse()) {
     saved->index = adj.sparse.index;

@@ -41,23 +41,28 @@ struct Adjacency {
 
 // The parameter-only products of one cell: the node halves of the
 // node-adaptive weights of Eq 13-15, W_nu = E_nu pool_w_node and
-// b_nu = E_nu pool_b_node, for the gates and the candidate, plus (for
-// batches wide enough to pay for it) each node's W_nu slice packed for the
-// GEMM kernel. Packed or not, the step's values are the same bits. They
-// depend on parameters alone, so a forward pass computes them once
-// (GCGRUCell::HoistWeights) instead of at every step; TGCRNState keeps
-// them for the pass it drives. They are valid only while the parameters
-// keep the values they had when hoisted — a new pass (or serving wave)
-// hoists again.
+// b_nu = E_nu pool_b_node, for the gates and the candidate. They depend on
+// parameters alone, so a pass computes them once (GCGRUCell::HoistWeights)
+// instead of at every step; TGCRNState keeps them for the pass it drives.
+// Each product is an ag::Matmul: one autograd node per pass while a
+// gradient is recorded, which every step of the pass feeds its dW_nu and
+// b_nu gradient into, and a plain leaf under NoGradGuard. For batches wide
+// enough to pay for it, each node's W_nu slice is also packed for the
+// forward GEMM and, when recording, transposed for the backward's
+// g W_nu^T. Packed or not, the values are the same bits. The weights are
+// valid only while the parameters keep the values they had when hoisted:
+// a new pass (or serving wave) hoists again.
 struct GCGRUWeights {
-  Tensor gates_w;        // [N, 2C * 2H]
-  Tensor gates_b;        // [N, 2H]
-  Tensor gates_packed;   // N panel sets of gates_w[n] as (2C x 2H), or empty
-  Tensor cand_w;         // [N, 2C * H]
-  Tensor cand_b;         // [N, H]
-  Tensor cand_packed;    // N panel sets of cand_w[n] as (2C x H), or empty
+  ag::Variable gates_w;    // [N, 2C * 2H]
+  ag::Variable gates_b;    // [N, 2H]
+  ag::Variable cand_w;     // [N, 2C * H]
+  ag::Variable cand_b;     // [N, H]
+  Tensor gates_packed;     // N panel sets of gates_w[n] as (2C x 2H)
+  Tensor cand_packed;      // N panel sets of cand_w[n] as (2C x H)
+  Tensor gates_packed_t;   // N panel sets of gates_w[n]^T as (2H x 2C)
+  Tensor cand_packed_t;    // N panel sets of cand_w[n]^T as (H x 2C)
 
-  bool defined() const { return gates_w.numel() > 0; }
+  bool defined() const { return gates_w.defined(); }
 };
 
 class GCGRUCell : public nn::Module {
@@ -77,10 +82,11 @@ class GCGRUCell : public nn::Module {
   //                                   when constructed with d_tau == 0)
   // Returns the next hidden state [B, N, hidden_dim]. While gradients are
   // recorded and some input needs them, the step is ONE autograd node whose
-  // hand-written backward routes gradients to x, h, the adjacency, E_nu,
-  // E_tau and the eight pools in the order the op-by-op cell did; under
+  // hand-written backward routes gradients to x, h, the adjacency, E_tau,
+  // the four time pools and the hoisted W_nu and b_nu (whose own nodes
+  // pass them on to E_nu and the four node pools once per pass); under
   // NoGradGuard (eval, serving) it runs on plain tensors and records
-  // nothing. This overload hoists the weights itself.
+  // nothing. This overload hoists the weights itself (four more nodes).
   ag::Variable Forward(const ag::Variable& x, const ag::Variable& h,
                        const Adjacency& adj, const ag::Variable& node_embed,
                        const ag::Variable& time_embed) const;
@@ -92,9 +98,10 @@ class GCGRUCell : public nn::Module {
                        const ag::Variable& time_embed,
                        const GCGRUWeights& weights) const;
 
-  // W_nu and b_nu for both convolutions, by the same Tensor::Matmul calls
-  // the op-by-op cell made at every step, packed per node when `batch`
-  // (the B the weights will serve) reaches the GEMM packing cutover.
+  // W_nu and b_nu for both convolutions as ag::Matmul products, packed per
+  // node when `batch` (the B the weights will serve) reaches the GEMM
+  // packing cutover; the backward's transposed panels only when the
+  // products record a gradient.
   GCGRUWeights HoistWeights(const ag::Variable& node_embed,
                             int64_t batch) const;
 

@@ -75,7 +75,9 @@ struct TGCRNConfig {
 // handles, not tensor storage. The cells' parameter-only products
 // (GCGRUCell::HoistWeights) are computed on first use and kept for the
 // state's lifetime — once per training forward pass, serving wave or
-// forecast — so a state must not outlive a parameter update.
+// forecast — so a state must not outlive a parameter update. While
+// training they are the pass's autograd nodes, which every step feeds its
+// W_nu and b_nu gradients into.
 struct TGCRNState {
   std::vector<ag::Variable> hidden;   // per layer [B, N, hidden_dim]
   std::vector<Adjacency> cached_adj;  // per layer, refresh-interval cache

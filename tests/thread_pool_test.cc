@@ -23,11 +23,12 @@
 #include "common/rng.h"
 
 // Global operator new calls in this binary, from any thread. The
-// replacements live on malloc/free; the deletes stay out of line so that no
-// delete-expression inlines a free() of an operator new pointer.
+// replacements live on malloc/free and stay out of line, so that GCC never
+// pairs an inlined malloc() with a delete-expression (or an inlined free()
+// with a new-expression) and warns about the mismatch.
 static std::atomic<int64_t> g_operator_new_calls{0};
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -231,6 +232,29 @@ TEST(ThreadPoolTest, ParallelForAllocatesNothing) {
     for (int i = 0; i < 1000; ++i) run();
     EXPECT_EQ(g_operator_new_calls.load() - before, 0)
         << "threads=" << threads;
+  }
+}
+
+// A reduction of up to 64 chunks keeps its partials on the stack: no heap
+// allocation per call at any width.
+TEST(ThreadPoolTest, DeterministicSumAllocatesNothing) {
+  std::vector<float> values(4096, 0.25f);
+  auto run = [&] {
+    return DeterministicChunkedSum(4096, 256, [&](int64_t b, int64_t e) {
+      double s = 0.0;
+      for (int64_t i = b; i < e; ++i) s += values[i];
+      return s;
+    });
+  };
+  for (const int threads : {1, 4}) {
+    ScopedNumThreads guard(threads);
+    for (int i = 0; i < 100; ++i) run();  // warm-up: starts the workers
+    const int64_t before = g_operator_new_calls.load();
+    double total = 0.0;
+    for (int i = 0; i < 1000; ++i) total += run();
+    EXPECT_EQ(g_operator_new_calls.load() - before, 0)
+        << "threads=" << threads;
+    EXPECT_EQ(total, 1000.0 * 1024.0);
   }
 }
 
